@@ -24,7 +24,6 @@ import (
 
 	"tango/internal/bench"
 	"tango/internal/rel"
-	"tango/internal/stats"
 	"tango/internal/wire"
 )
 
@@ -107,27 +106,19 @@ func BenchmarkQuery4(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectivity times the §3.3 estimators (they must be cheap
-// enough to run inside optimization) and the optimizer end to end.
+// BenchmarkSelectivity times the §3.3 worked example: the estimators
+// must be cheap enough to run inside optimization. The optimizer
+// itself is timed per query by BenchmarkOptimize in internal/bench.
 func BenchmarkSelectivity(b *testing.B) {
-	rows, err := bench.RunSelectivity()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(rows) != 3 {
-		b.Fatal("unexpected selectivity table")
-	}
-	_ = stats.ModeSemantic
-	sys := newSystem(b, 4000, 50)
-	b.Run("optimize-q2", func(b *testing.B) {
-		initial := bench.Q2Initial(bench.Day(1996, time.January, 1))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.MW.Optimize(initial.Clone()); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		rows, err := bench.RunSelectivity()
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		if len(rows) != 3 {
+			b.Fatal("unexpected selectivity table")
+		}
+	}
 }
 
 // BenchmarkAblationBulkLoad compares TRANSFER^D's direct-path loader

@@ -34,12 +34,13 @@ const (
 	OpCoalesce           // coal (merge value-equivalent adjacent periods)
 	OpTM                 // T^M transfer DBMS → middleware
 	OpTD                 // T^D transfer middleware → DBMS
+	OpGroup              // reference to an optimizer memo group (optimizer-internal leaf)
 )
 
 var opNames = map[Op]string{
 	OpScan: "Scan", OpSelect: "Select", OpProject: "Project", OpSort: "Sort",
 	OpJoin: "Join", OpTJoin: "TJoin", OpTAggr: "TAggr", OpDupElim: "DupElim",
-	OpCoalesce: "Coalesce", OpTM: "TM", OpTD: "TD",
+	OpCoalesce: "Coalesce", OpTM: "TM", OpTD: "TD", OpGroup: "Group",
 }
 
 // String returns the operator name.
@@ -115,6 +116,20 @@ type Node struct {
 	// TAggr
 	GroupBy []string
 	Aggs    []Agg
+
+	// Group
+	Ref *GroupRef
+}
+
+// GroupRef is what an OpGroup leaf stands for: any member of one
+// optimizer memo group. It carries the group's schema and site, so a
+// rewrite rule can inspect a shallow tree of group expressions without
+// descending into the group. Group references never leave the
+// optimizer.
+type GroupRef struct {
+	ID     int
+	Schema types.Schema
+	Loc    Location
 }
 
 // --- Constructors ---
@@ -169,6 +184,9 @@ func TM(in *Node) *Node { return &Node{Op: OpTM, Left: in} }
 // TD transfers the input from the middleware to the DBMS.
 func TD(in *Node) *Node { return &Node{Op: OpTD, Left: in} }
 
+// Group is a leaf standing for the memo group ref describes.
+func Group(ref *GroupRef) *Node { return &Node{Op: OpGroup, Ref: ref} }
+
 // --- Catalog ---
 
 // Catalog resolves base-relation schemas (the middleware gets them
@@ -194,6 +212,9 @@ func (n *Node) Schema(cat Catalog) (types.Schema, error) {
 
 	case OpSelect, OpDupElim, OpCoalesce, OpSort, OpTM, OpTD:
 		return n.Left.Schema(cat)
+
+	case OpGroup:
+		return n.Ref.Schema, nil
 
 	case OpProject:
 		in, err := n.Left.Schema(cat)
@@ -324,6 +345,8 @@ func (n *Node) Loc() Location {
 		return LocMW
 	case OpTD:
 		return LocDBMS
+	case OpGroup:
+		return n.Ref.Loc
 	case OpJoin, OpTJoin:
 		// Both inputs must agree for a well-formed plan; the left
 		// decides (Validate enforces agreement).
@@ -337,7 +360,7 @@ func (n *Node) Loc() Location {
 // properly and join inputs are co-located.
 func (n *Node) Validate() error {
 	switch n.Op {
-	case OpScan:
+	case OpScan, OpGroup:
 		return nil
 	case OpTM:
 		if n.Left.Loc() != LocDBMS {
@@ -420,6 +443,9 @@ func (n *Node) writeKey(b *strings.Builder) {
 	switch n.Op {
 	case OpScan:
 		fmt.Fprintf(b, "(%s %s)", n.Table, n.Alias)
+		return
+	case OpGroup:
+		fmt.Fprintf(b, "(#%d)", n.Ref.ID)
 		return
 	case OpSelect:
 		fmt.Fprintf(b, "[%s]", strings.ToUpper(n.Pred.String()))
@@ -513,6 +539,8 @@ func (n *Node) Label() string {
 		return "TRANSFER^M"
 	case OpTD:
 		return "TRANSFER^D"
+	case OpGroup:
+		return fmt.Sprintf("GROUP^%s #%d", loc, n.Ref.ID)
 	}
 	return "?"
 }

@@ -66,121 +66,101 @@ func NewModel(est *stats.Estimator) *Model {
 }
 
 // PlanCost returns the estimated cost (µs) of the whole plan: the sum
-// of the per-operator costs given the derived statistics.
+// of the per-operator costs, with statistics derived bottom-up in one
+// derivation (each base table's statistics fetched once).
 func (m *Model) PlanCost(n *algebra.Node) (float64, error) {
+	return m.planCost(n, m.Est.NewDerivation())
+}
+
+func (m *Model) planCost(n *algebra.Node, d *stats.Derivation) (float64, error) {
 	if n == nil {
 		return 0, nil
 	}
-	c, err := m.opCost(n)
-	if err != nil {
-		return 0, err
-	}
-	l, err := m.PlanCost(n.Left)
-	if err != nil {
-		return 0, err
-	}
-	r, err := m.PlanCost(n.Right)
-	if err != nil {
-		return 0, err
-	}
-	return c + l + r, nil
-}
-
-// opCost prices one operator (excluding its inputs).
-func (m *Model) opCost(n *algebra.Node) (float64, error) {
-	inStats := func() (*stats.RelStats, error) { return m.Est.Estimate(n.Left) }
-	outStats := func() (*stats.RelStats, error) { return m.Est.Estimate(n) }
-
-	switch n.Op {
-	case algebra.OpScan:
-		out, err := outStats()
+	var in []*stats.RelStats
+	total := 0.0
+	for _, c := range []*algebra.Node{n.Left, n.Right} {
+		if c == nil {
+			continue
+		}
+		sub, err := m.planCost(c, d)
 		if err != nil {
 			return 0, err
 		}
+		st, err := d.Plan(c)
+		if err != nil {
+			return 0, err
+		}
+		total += sub
+		in = append(in, st)
+	}
+	out, err := d.Plan(n)
+	if err != nil {
+		return 0, err
+	}
+	c, err := m.OpCost(n, out, in...)
+	if err != nil {
+		return 0, err
+	}
+	return total + c, nil
+}
+
+// OpCost prices one operator, excluding its inputs, from its output
+// statistics and its inputs' statistics (in[0] the left input, in[1]
+// the right). The site comes from n.Loc(), so the inputs may be memo
+// group references.
+func (m *Model) OpCost(n *algebra.Node, out *stats.RelStats, in ...*stats.RelStats) (float64, error) {
+	if n.Op != algebra.OpScan && len(in) == 0 {
+		return 0, fmt.Errorf("cost: %v without input statistics", n.Op)
+	}
+	switch n.Op {
+	case algebra.OpScan:
 		return m.F.ScanD * out.Size(), nil
 
 	case algebra.OpTM:
-		in, err := inStats()
-		if err != nil {
-			return 0, err
-		}
-		return m.F.TM * in.Size(), nil
+		return m.F.TM * in[0].Size(), nil
 
 	case algebra.OpTD:
-		in, err := inStats()
-		if err != nil {
-			return 0, err
-		}
-		return m.F.TD * in.Size(), nil
+		return m.F.TD * in[0].Size(), nil
 
 	case algebra.OpSelect:
 		if n.Loc() == algebra.LocDBMS {
 			return 0, nil // the paper assumes zero-cost DBMS selection
 		}
-		in, err := inStats()
-		if err != nil {
-			return 0, err
-		}
-		return m.F.SelM * predWeight(n.Pred) * in.Size(), nil
+		return m.F.SelM * predWeight(n.Pred) * in[0].Size(), nil
 
 	case algebra.OpProject:
 		return 0, nil // zero output-forming cost for projection
 
 	case algebra.OpSort:
-		in, err := inStats()
-		if err != nil {
-			return 0, err
-		}
 		f := m.F.SortD
 		if n.Loc() == algebra.LocMW {
 			f = m.F.SortM
 		}
-		return f * in.Size() * log2(in.Card), nil
+		return f * in[0].Size() * log2(in[0].Card), nil
 
 	case algebra.OpJoin, algebra.OpTJoin:
-		l, err := m.Est.Estimate(n.Left)
-		if err != nil {
-			return 0, err
-		}
-		r, err := m.Est.Estimate(n.Right)
-		if err != nil {
-			return 0, err
-		}
-		out, err := outStats()
-		if err != nil {
-			return 0, err
+		if len(in) < 2 {
+			return 0, fmt.Errorf("cost: %v needs two inputs", n.Op)
 		}
 		f := m.F.JoinD
 		if n.Loc() == algebra.LocMW {
 			f = m.F.JoinM
 		}
-		return f * (l.Size() + r.Size() + out.Size()), nil
+		return f * (in[0].Size() + in[1].Size() + out.Size()), nil
 
 	case algebra.OpTAggr:
-		in, err := inStats()
-		if err != nil {
-			return 0, err
-		}
-		out, err := outStats()
-		if err != nil {
-			return 0, err
-		}
 		if n.Loc() == algebra.LocMW {
 			// Figure 6: internal second sort + linear terms.
-			internalSort := m.F.SortM * in.Size() * log2(in.Card)
-			return internalSort + m.F.TAggrM1*in.Size() + m.F.TAggrM2*out.Size(), nil
+			internalSort := m.F.SortM * in[0].Size() * log2(in[0].Card)
+			return internalSort + m.F.TAggrM1*in[0].Size() + m.F.TAggrM2*out.Size(), nil
 		}
-		return m.F.TAggrD1*in.Size() + m.F.TAggrD2*out.Size(), nil
+		return m.F.TAggrD1*in[0].Size() + m.F.TAggrD2*out.Size(), nil
 
 	case algebra.OpDupElim:
-		in, err := inStats()
-		if err != nil {
-			return 0, err
-		}
 		if n.Loc() == algebra.LocMW {
-			return m.F.DupM * in.Size(), nil
+			return m.F.DupM * in[0].Size(), nil
 		}
-		return m.F.SortD * in.Size() * log2(in.Card), nil
+		return m.F.SortD * in[0].Size() * log2(in[0].Card), nil
 
 	case algebra.OpCoalesce:
 		if n.Loc() == algebra.LocDBMS {
@@ -188,11 +168,7 @@ func (m *Model) opCost(n *algebra.Node) (float64, error) {
 			// in the DBMS is not executable.
 			return math.Inf(1), nil
 		}
-		in, err := inStats()
-		if err != nil {
-			return 0, err
-		}
-		return m.F.CoalM * in.Size(), nil
+		return m.F.CoalM * in[0].Size(), nil
 
 	default:
 		return 0, fmt.Errorf("cost: unknown op %v", n.Op)

@@ -2,21 +2,23 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"tango/internal/algebra"
 	"tango/internal/cost"
+	"tango/internal/stats"
 )
 
-// Optimizer enumerates candidate plans by transformation-rule closure
-// (phase one) and costs each candidate with the cost model (phase
-// two), exactly the two-phase structure of §2.1.
+// Optimizer explores the rule closure of a plan in a memo (phase one)
+// and costs the memo bottom-up with the cost model (phase two), the
+// two-phase structure of §2.1.
 type Optimizer struct {
 	Cat   algebra.Catalog
 	Model *cost.Model
-	// MaxPlans caps the enumeration (a safety valve; the paper's
-	// queries stay in the hundreds of elements).
+	// MaxPlans caps len(Result.Candidates). It does not cut the
+	// search, which always runs to the rule closure.
 	MaxPlans int
 	// DisabledGroups turns heuristic groups off for ablation
 	// experiments (e.g. {1: true} disables the move-to-middleware
@@ -29,7 +31,7 @@ func New(cat algebra.Catalog, model *cost.Model) *Optimizer {
 	return &Optimizer{Cat: cat, Model: model, MaxPlans: 512}
 }
 
-// Candidate is one enumerated plan with its estimated cost.
+// Candidate is one complete plan with its estimated cost.
 type Candidate struct {
 	Plan *algebra.Node
 	Cost float64
@@ -39,88 +41,130 @@ type Candidate struct {
 // paper reports per query: equivalence classes and class elements,
 // plus search statistics for the telemetry exporter.
 type Result struct {
-	Best       *algebra.Node
-	BestCost   float64
-	Candidates []Candidate // sorted by ascending cost
-	Classes    int
-	Elements   int
-	// PlansCosted is the number of complete plans priced in phase two.
+	Best     *algebra.Node
+	BestCost float64
+	// Candidates are distinct complete plans sorted by ascending cost:
+	// the best plan, the cheapest plan sited differently from it (its
+	// operators and their sites differ in pre-order), the cheapest plan
+	// with no T^D, the cheapest plan with the fewest wire crossings,
+	// and, for every operator placement (Op@Loc) of the best plan, the
+	// cheapest plan without that placement — the plan-level fallbacks
+	// and cross-checks read these. At most Optimizer.MaxPlans are kept.
+	Candidates []Candidate
+	// Classes and Elements are the memo's groups and group
+	// expressions.
+	Classes  int
+	Elements int
+	// PlansCosted is len(Candidates).
 	PlansCosted int
 	// RulesFired counts successful rule applications by rule name
-	// (including rewrites later deduplicated or invalidated).
+	// (including rewrites the memo already held or rejected).
 	RulesFired map[string]int
 	// Elapsed is the wall time of the whole optimization.
 	Elapsed time.Duration
 }
 
 // Optimize runs both phases on an initial plan (which, per §2.1,
-// assigns all processing to the DBMS with a single T^M on top).
+// assigns all processing to the DBMS with a single T^M on top). The
+// chosen plan delivers at least the order the initial plan delivers.
 func (o *Optimizer) Optimize(initial *algebra.Node) (*Result, error) {
 	start := time.Now()
 	if err := initial.Validate(); err != nil {
 		return nil, fmt.Errorf("optimizer: initial plan: %w", err)
 	}
-	maxPlans := o.MaxPlans
-	if maxPlans <= 0 {
-		maxPlans = 512
+	if initial.Loc() != algebra.LocMW {
+		return nil, fmt.Errorf("optimizer: no executable candidate plans (the initial plan does not deliver to the middleware)")
 	}
-	rules := o.activeRules()
 
-	// Phase one: transformation closure with memoized plan keys.
-	memo := newMemo()
-	seen := map[string]*algebra.Node{}
-	var order []string
-	add := func(p *algebra.Node) {
-		k := p.Key()
-		if _, ok := seen[k]; ok {
-			return
-		}
-		seen[k] = p
-		order = append(order, k)
-		memo.addPlan(p)
+	// Phase one: the rule closure.
+	m := newMemo(o.Cat)
+	root, _, err := m.insert(initial.Clone(), -1)
+	if err != nil {
+		return nil, fmt.Errorf("optimizer: initial plan: %w", err)
 	}
 	fired := map[string]int{}
-	add(initial.Clone())
-	for i := 0; i < len(order) && len(order) < maxPlans; i++ {
-		plan := seen[order[i]]
-		for _, rewritten := range applyRulesEverywhere(plan, rules, memo, fired) {
-			if len(order) >= maxPlans {
-				break
-			}
-			if rewritten.Validate() != nil {
-				continue
-			}
-			add(rewritten)
-		}
+	if err := m.explore(o.activeRules(), fired); err != nil {
+		return nil, err
 	}
+	root = m.find(root)
 
-	// Phase two: cost every candidate.
-	res := &Result{RulesFired: fired}
-	for _, k := range order {
-		plan := seen[k]
-		// Only complete plans (root delivering to the middleware) are
-		// executable.
-		if plan.Loc() != algebra.LocMW {
+	// Phase two: statistics once per group, each operator's own cost
+	// once per expression, then winners per group and property.
+	der := o.Model.Est.NewDerivation()
+	for _, e := range m.exprs {
+		if e.dead {
 			continue
 		}
-		c, err := o.Model.PlanCost(plan)
+		out, err := m.groupStats(m.find(e.group), der)
 		if err != nil {
 			return nil, err
 		}
-		res.Candidates = append(res.Candidates, Candidate{Plan: plan, Cost: c})
-		res.PlansCosted++
+		var in []*stats.RelStats
+		for _, k := range m.inputs(e) {
+			s, err := m.groupStats(k, der)
+			if err != nil {
+				return nil, err
+			}
+			in = append(in, s)
+		}
+		if e.cost, err = o.Model.OpCost(e.node, out, in...); err != nil {
+			return nil, err
+		}
 	}
-	if len(res.Candidates) == 0 {
+	need := Order(initial)
+	win := m.solve(objective{})
+	best := pick(win, root, need, objective{})
+	if best == nil {
 		return nil, fmt.Errorf("optimizer: no executable candidate plans")
 	}
-	sort.SliceStable(res.Candidates, func(i, j int) bool {
-		return res.Candidates[i].Cost < res.Candidates[j].Cost
-	})
+	res := &Result{RulesFired: fired}
+	res.Classes, res.Elements = m.counts()
+	res.Candidates = o.candidates(m, win, root, need, best)
+	res.PlansCosted = len(res.Candidates)
 	res.Best = res.Candidates[0].Plan
 	res.BestCost = res.Candidates[0].Cost
-	res.Classes, res.Elements = memo.counts()
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// candidates extracts the best plan and its alternatives (see
+// Result.Candidates), deduplicated and sorted by cost.
+func (o *Optimizer) candidates(m *memo, win table, root int, need []string, best *winner) []Candidate {
+	objs := []objective{
+		{allow: func(e *gexpr) bool { return e.node.Op != algebra.OpTD }},
+		{fewestXfers: true},
+	}
+	for _, p := range best.placements() {
+		if p.op == algebra.OpScan || p.op == algebra.OpTM || p.op == algebra.OpTD {
+			continue // every plan scans and delivers through a T^M; no-T^D is above
+		}
+		p := p
+		objs = append(objs, objective{allow: func(e *gexpr) bool {
+			return e.node.Op != p.op || e.node.Loc() != p.loc
+		}})
+	}
+	winners := []*winner{best, m.differing(win, best, root, need)}
+	for _, obj := range objs {
+		winners = append(winners, pick(m.solve(obj), root, need, obj))
+	}
+	seen := map[string]bool{}
+	var out []Candidate
+	for _, w := range winners {
+		if w == nil || (w != best && math.IsInf(w.cost, 1)) {
+			continue // no such plan, or one that cannot run (COALESCE^D)
+		}
+		sig := w.signature()
+		if seen[sig] {
+			continue
+		}
+		seen[sig] = true
+		out = append(out, Candidate{Plan: w.plan(), Cost: w.cost})
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
+	if o.MaxPlans > 0 && len(out) > o.MaxPlans {
+		out = out[:o.MaxPlans]
+	}
+	return out
 }
 
 func (o *Optimizer) activeRules() []Rule {
@@ -135,112 +179,4 @@ func (o *Optimizer) activeRules() []Rule {
 		}
 	}
 	return out
-}
-
-// applyRulesEverywhere applies every rule at every node of the plan,
-// returning full rewritten plans. The memo records subtree
-// equivalences for the class/element accounting; fired counts
-// successful applications per rule name.
-func applyRulesEverywhere(plan *algebra.Node, rules []Rule, memo *memoTable, fired map[string]int) []*algebra.Node {
-	var out []*algebra.Node
-	// Enumerate node positions by a path of 0 (left) / 1 (right).
-	var walk func(n *algebra.Node, path []int)
-	walk = func(n *algebra.Node, path []int) {
-		if n == nil {
-			return
-		}
-		for _, r := range rules {
-			for _, sub := range r.Apply(n) {
-				if fired != nil {
-					fired[r.Name]++
-				}
-				memo.recordEquiv(n, sub)
-				out = append(out, replaceAt(plan, path, sub))
-			}
-		}
-		walk(n.Left, append(append([]int{}, path...), 0))
-		walk(n.Right, append(append([]int{}, path...), 1))
-	}
-	walk(plan, nil)
-	return out
-}
-
-// replaceAt clones the plan with the subtree at path replaced.
-func replaceAt(plan *algebra.Node, path []int, sub *algebra.Node) *algebra.Node {
-	if len(path) == 0 {
-		return sub.Clone()
-	}
-	c := *plan
-	cp := &c
-	cp.Left = plan.Left
-	cp.Right = plan.Right
-	if path[0] == 0 {
-		cp.Left = replaceAt(plan.Left, path[1:], sub)
-	} else {
-		cp.Right = replaceAt(plan.Right, path[1:], sub)
-	}
-	return cp
-}
-
-// --- Volcano-style accounting ---
-
-// memoTable tracks distinct subexpressions (elements) grouped into
-// equivalence classes via union-find, mirroring the class/element
-// counts the Volcano memo would hold.
-type memoTable struct {
-	parent map[string]string
-	known  map[string]bool
-}
-
-func newMemo() *memoTable {
-	return &memoTable{parent: map[string]string{}, known: map[string]bool{}}
-}
-
-func (m *memoTable) find(k string) string {
-	p, ok := m.parent[k]
-	if !ok {
-		m.parent[k] = k
-		return k
-	}
-	if p == k {
-		return k
-	}
-	root := m.find(p)
-	m.parent[k] = root
-	return root
-}
-
-func (m *memoTable) union(a, b string) {
-	ra, rb := m.find(a), m.find(b)
-	if ra != rb {
-		m.parent[ra] = rb
-	}
-}
-
-// addPlan registers every subtree of the plan as an element.
-func (m *memoTable) addPlan(p *algebra.Node) {
-	p.Walk(func(n *algebra.Node) {
-		k := n.Key()
-		m.known[k] = true
-		m.find(k)
-	})
-}
-
-// recordEquiv marks two subtrees as members of one equivalence class.
-func (m *memoTable) recordEquiv(a, b *algebra.Node) {
-	ka, kb := a.Key(), b.Key()
-	m.known[ka] = true
-	m.known[kb] = true
-	m.union(ka, kb)
-	// Their subtrees are elements too.
-	m.addPlan(b)
-}
-
-// counts returns (classes, elements).
-func (m *memoTable) counts() (int, int) {
-	roots := map[string]bool{}
-	for k := range m.known {
-		roots[m.find(k)] = true
-	}
-	return len(roots), len(m.known)
 }

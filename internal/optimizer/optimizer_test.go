@@ -350,3 +350,46 @@ func TestMaxPlansCapRespected(t *testing.T) {
 		t.Errorf("cap exceeded: %d candidates", len(res.Candidates))
 	}
 }
+
+func TestProjectionCompositionAndIdentity(t *testing.T) {
+	cat := testCatalog()
+	scan := algebra.Scan("POSITION", "A")
+	inner := algebra.Project(scan, algebra.ProjCol{Src: "A.PosID", As: "P"}, algebra.ProjCol{Src: "A.T1"})
+	outer := algebra.Project(inner, algebra.ProjCol{Src: "T1", As: "Start"}, algebra.ProjCol{Src: "P"})
+	out := composeProjections(cat)(outer)
+	if len(out) != 1 || out[0].Op != algebra.OpProject || out[0].Left.Op != algebra.OpScan {
+		t.Fatalf("composition shape: %v", out)
+	}
+	want, err := outer.Schema(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := out[0].Schema(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Equal(got) || got.Cols[0].Name != "Start" || out[0].Cols[0].Src != "A.T1" {
+		t.Errorf("composed projection %v gives %v, want %v", out[0].Cols, got.Names(), want.Names())
+	}
+
+	// E2's column-restoring projection over the re-commuted join is an
+	// identity once composed, and drops out.
+	schema, err := scan.Schema(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cols []algebra.ProjCol
+	for _, c := range schema.Cols {
+		cols = append(cols, algebra.ProjCol{Src: c.Name, As: c.Name})
+	}
+	if out := dropIdentityProjection(cat)(algebra.Project(scan, cols...)); len(out) != 1 || out[0].Op != algebra.OpScan {
+		t.Errorf("identity projection kept: %v", out)
+	}
+	if out := dropIdentityProjection(cat)(algebra.Project(scan, cols[1:]...)); out != nil {
+		t.Error("a narrowing projection is not an identity")
+	}
+	renamed := append([]algebra.ProjCol{{Src: cols[0].Src, As: "X"}}, cols[1:]...)
+	if out := dropIdentityProjection(cat)(algebra.Project(scan, renamed...)); out != nil {
+		t.Error("a renaming projection is not an identity")
+	}
+}

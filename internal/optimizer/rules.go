@@ -1,10 +1,11 @@
-// Package optimizer implements TANGO's query optimizer: a
-// Volcano-style transformation engine over the middleware algebra. The
+// Package optimizer implements TANGO's query optimizer: the paper's
+// Volcano-style optimizer over the middleware algebra. The
 // transformation rules are the paper's T1–T12 heuristics and E1–E5
-// equivalences (§4); candidate plans are enumerated in phase one and
-// costed with the cost model in phase two, and the optimizer reports
-// its equivalence-class and element counts the way the paper does for
-// each experiment query.
+// equivalences (§4); they populate a memo of equivalence classes
+// (groups) and class elements (group expressions), which is then
+// costed bottom-up with the cost model. The optimizer reports its
+// class and element counts the way the paper does for each experiment
+// query.
 package optimizer
 
 import (
@@ -13,42 +14,98 @@ import (
 	"tango/internal/algebra"
 	"tango/internal/eval"
 	"tango/internal/sqlast"
+	"tango/internal/types"
 )
 
 // Rule is one transformation: given a subtree root, it returns zero or
-// more rewritten subtree roots (freshly cloned).
+// more rewritten subtree roots (freshly cloned). In the memo the
+// subtree is a binding: the operator of a group expression over group
+// reference leaves, with Depth−1 levels of its left input bound to
+// concrete group expressions.
 type Rule struct {
 	Name  string
-	Group int // heuristic group (1, 2) or 0 for equivalences
+	Group int // heuristic group (1, 2, 4) or 0 for equivalences
+	// Depth is how many operator levels, along the left input, the
+	// rule inspects: 1 = the operator alone, 2 = also its input's
+	// operator, 3 = one level further down.
+	Depth int
 	Apply func(n *algebra.Node) []*algebra.Node
 }
 
 // DefaultRules returns the rule set of §4. The catalog is needed by
-// the heuristic-group-4 selection pushdown, which must resolve which
-// join input a predicate refers to.
+// rules that resolve input schemas (the group-4 pushdowns, E2's
+// column-restoring projection). T10, dropping a sort whose input is
+// already ordered, is not a rewrite here: sort order is a physical
+// property, and the costing elides such sorts (winner.go).
 func DefaultRules(cat algebra.Catalog) []Rule {
 	return []Rule{
-		{Name: "T1-taggr-to-mw", Group: 1, Apply: ruleT1},
-		{Name: "T2-join-to-mw", Group: 1, Apply: ruleT2},
-		{Name: "T3-tjoin-to-mw", Group: 1, Apply: ruleT3},
-		{Name: "T4-select-above-tm", Group: 1, Apply: ruleT4},
-		{Name: "T5-project-above-tm", Group: 1, Apply: ruleT5},
-		{Name: "T6-sort-above-tm", Group: 1, Apply: ruleT6},
-		{Name: "T7-collapse-tm-td", Group: 2, Apply: ruleT7},
-		{Name: "T8-collapse-td-tm", Group: 2, Apply: ruleT8},
-		{Name: "T10-drop-redundant-sort", Group: 2, Apply: ruleT10},
-		{Name: "T11-drop-sort-before-td", Group: 2, Apply: ruleT11},
-		{Name: "T12-collapse-sorts", Group: 2, Apply: ruleT12},
-		{Name: "E1-project-select-commute", Group: 0, Apply: ruleE1},
-		{Name: "E2-join-commute", Group: 0, Apply: joinCommute(cat)},
-		{Name: "E4-sort-select-commute", Group: 0, Apply: ruleE4},
-		{Name: "E5-sort-project-commute", Group: 0, Apply: ruleE5},
-		{Name: "G4-select-below-join", Group: 4, Apply: selectBelowJoin(cat)},
-		{Name: "G4-narrow-taggr-input", Group: 4, Apply: narrowTAggrInput(cat)},
-		{Name: "T5r-project-below-tm", Group: 4, Apply: ruleProjectBelowTM},
-		{Name: "TC1-coalesce-to-mw", Group: 1, Apply: coalesceToMW(cat)},
-		{Name: "TD1-dupelim-to-mw", Group: 1, Apply: ruleDupElimToMW},
-		{Name: "VC1-select-coalesce-commute", Group: 0, Apply: ruleSelectCoalesce},
+		{Name: "T1-taggr-to-mw", Group: 1, Depth: 1, Apply: ruleT1},
+		{Name: "T2-join-to-mw", Group: 1, Depth: 1, Apply: ruleT2},
+		{Name: "T3-tjoin-to-mw", Group: 1, Depth: 1, Apply: ruleT3},
+		{Name: "T4-select-above-tm", Group: 1, Depth: 2, Apply: ruleT4},
+		{Name: "T5-project-above-tm", Group: 1, Depth: 2, Apply: ruleT5},
+		{Name: "T6-sort-above-tm", Group: 1, Depth: 2, Apply: ruleT6},
+		{Name: "T7-collapse-tm-td", Group: 2, Depth: 2, Apply: ruleT7},
+		{Name: "T8-collapse-td-tm", Group: 2, Depth: 2, Apply: ruleT8},
+		{Name: "T11-drop-sort-before-td", Group: 2, Depth: 2, Apply: ruleT11},
+		{Name: "T12-collapse-sorts", Group: 2, Depth: 2, Apply: ruleT12},
+		{Name: "E1-project-select-commute", Group: 0, Depth: 2, Apply: ruleE1},
+		{Name: "E2-join-commute", Group: 0, Depth: 1, Apply: joinCommute(cat)},
+		{Name: "E4-sort-select-commute", Group: 0, Depth: 2, Apply: ruleE4},
+		{Name: "E5-sort-project-commute", Group: 0, Depth: 2, Apply: ruleE5},
+		{Name: "P1-compose-projections", Group: 0, Depth: 2, Apply: composeProjections(cat)},
+		{Name: "P2-drop-identity-projection", Group: 0, Depth: 1, Apply: dropIdentityProjection(cat)},
+		{Name: "G4-select-below-join", Group: 4, Depth: 2, Apply: selectBelowJoin(cat)},
+		{Name: "G4-narrow-taggr-input", Group: 4, Depth: 2, Apply: narrowTAggrInput(cat)},
+		{Name: "T5r-project-below-tm", Group: 4, Depth: 3, Apply: ruleProjectBelowTM},
+		{Name: "TC1-coalesce-to-mw", Group: 1, Depth: 1, Apply: coalesceToMW(cat)},
+		{Name: "TD1-dupelim-to-mw", Group: 1, Depth: 1, Apply: ruleDupElimToMW},
+		{Name: "VC1-select-coalesce-commute", Group: 0, Depth: 2, Apply: ruleSelectCoalesce},
+	}
+}
+
+// composeProjections merges stacked projections:
+// π_a(π_b(r)) ≡L π_{a∘b}(r), each output of a reading its source
+// through b. Without it, every E2 commute adds one more
+// column-restoring projection and the search space never closes.
+func composeProjections(cat algebra.Catalog) func(n *algebra.Node) []*algebra.Node {
+	return func(n *algebra.Node) []*algebra.Node {
+		if n.Op != algebra.OpProject || n.Left.Op != algebra.OpProject {
+			return nil
+		}
+		inner, err := n.Left.Schema(cat)
+		if err != nil {
+			return nil
+		}
+		cols := make([]algebra.ProjCol, len(n.Cols))
+		for i, pc := range n.Cols {
+			j := inner.ColumnIndex(pc.Src)
+			if j < 0 {
+				return nil
+			}
+			cols[i] = algebra.ProjCol{Src: n.Left.Cols[j].Src, As: pc.Out()}
+		}
+		return []*algebra.Node{algebra.Project(n.Left.Left.Clone(), cols...)}
+	}
+}
+
+// dropIdentityProjection removes a projection that keeps every input
+// column, in order, under its own name: π(r) ≡L r.
+func dropIdentityProjection(cat algebra.Catalog) func(n *algebra.Node) []*algebra.Node {
+	return func(n *algebra.Node) []*algebra.Node {
+		if n.Op != algebra.OpProject {
+			return nil
+		}
+		in, err := n.Left.Schema(cat)
+		if err != nil || len(n.Cols) != in.Len() {
+			return nil
+		}
+		for i, pc := range n.Cols {
+			if pc.Out() != in.Cols[i].Name || in.ColumnIndex(pc.Src) != i {
+				return nil
+			}
+		}
+		return []*algebra.Node{n.Left.Clone()}
 	}
 }
 
@@ -208,17 +265,6 @@ func ruleT8(n *algebra.Node) []*algebra.Node {
 		return nil
 	}
 	return []*algebra.Node{n.Left.Left.Clone()}
-}
-
-// ruleT10: sort_A(r) →L r when A is a prefix of Order(r).
-func ruleT10(n *algebra.Node) []*algebra.Node {
-	if n.Op != algebra.OpSort {
-		return nil
-	}
-	if isPrefixOf(n.Keys, Order(n.Left)) {
-		return []*algebra.Node{n.Left.Clone()}
-	}
-	return nil
 }
 
 // ruleT11: sort_A(r) →M r when the order is destroyed immediately
@@ -497,6 +543,16 @@ func Order(n *algebra.Node) []string {
 	if n == nil {
 		return nil
 	}
+	var in []string
+	if n.Left != nil && n.Op != algebra.OpSort {
+		in = Order(n.Left)
+	}
+	return outputOrder(n, in)
+}
+
+// outputOrder is the order an operator delivers given the order of its
+// (left) input.
+func outputOrder(n *algebra.Node, in []string) []string {
 	switch n.Op {
 	case algebra.OpSort:
 		// Authoritative where directly consumed: a MW sort always
@@ -504,27 +560,24 @@ func Order(n *algebra.Node) []string {
 		// DBMS-resident sits above it, which the cases below enforce by
 		// refusing to propagate order through DBMS operators.
 		return n.Keys
-	case algebra.OpScan, algebra.OpTD:
-		return nil
 	case algebra.OpTAggr:
 		// TAGGR^M emits groups in input group order with ascending T1.
 		if n.Loc() == algebra.LocMW {
-			return append(append([]string{}, n.GroupBy...), "T1")
+			return taggrOrder(n)
 		}
 		return nil
 	case algebra.OpTM:
-		return Order(n.Left)
+		return in
 	case algebra.OpSelect, algebra.OpDupElim, algebra.OpCoalesce:
 		if n.Loc() == algebra.LocDBMS {
 			return nil // would bury any sort below it in the SQL
 		}
-		return Order(n.Left)
+		return in
 	case algebra.OpProject:
 		if n.Loc() == algebra.LocDBMS {
 			return nil
 		}
 		// Order survives if its columns survive the projection.
-		in := Order(n.Left)
 		var out []string
 		for _, k := range in {
 			kept := ""
@@ -542,12 +595,51 @@ func Order(n *algebra.Node) []string {
 		return out
 	case algebra.OpJoin, algebra.OpTJoin:
 		if n.Loc() == algebra.LocMW {
-			return Order(n.Left) // merge joins follow the left input
+			return in // merge joins follow the left input
 		}
 		return nil
-	default:
+	default: // scans, T^D (loading a table discards order), group references
 		return nil
 	}
+}
+
+// outputDupFree reports whether an operator's output is provably free
+// of duplicates given whether its (left) input is — the annotation
+// planck derives.
+func outputDupFree(n *algebra.Node, in bool) bool {
+	switch n.Op {
+	case algebra.OpTAggr, algebra.OpDupElim, algebra.OpCoalesce:
+		return true
+	case algebra.OpSelect, algebra.OpSort, algebra.OpTM, algebra.OpTD:
+		return in
+	default:
+		return false
+	}
+}
+
+// coalesceOrdered reports whether order satisfies COALESCE^M: every
+// non-time column of the input (in any permutation), then T1.
+func coalesceOrdered(in types.Schema, order []string) bool {
+	t1, t2 := algebra.TimeColumns(in)
+	if t1 < 0 || t2 < 0 {
+		return false
+	}
+	nonTime := in.Len() - 2
+	if len(order) < nonTime+1 {
+		return false
+	}
+	used := make([]bool, in.Len())
+	for _, k := range order[:nonTime] {
+		j := in.ColumnIndex(k)
+		if j < 0 {
+			j = in.ColumnIndex(algebra.Unqualify(k))
+		}
+		if j < 0 || j == t1 || j == t2 || used[j] {
+			return false
+		}
+		used[j] = true
+	}
+	return isPrefixOf([]string{in.Cols[t1].Name}, order[nonTime:])
 }
 
 // isPrefixOf reports whether a is a (case-insensitive, qualifier

@@ -209,19 +209,65 @@ func TestEstimateDupElimCoalesce(t *testing.T) {
 	}
 }
 
-func TestEstimateMemoized(t *testing.T) {
+// countingSource counts TableStats fetches per table.
+type countingSource struct {
+	fixedSource
+	fetches map[string]int
+}
+
+func (s *countingSource) TableStats(table string, buckets int) (*meta.TableStats, error) {
+	s.fetches[strings.ToUpper(table)]++
+	return s.fixedSource.TableStats(table, buckets)
+}
+
+func TestEstimateFetchesTableStatsOncePerDerivation(t *testing.T) {
 	e := estimator()
-	n := algebra.Scan("POSITION", "")
-	a, err := e.Estimate(n)
+	src := &countingSource{fixedSource: e.Source.(fixedSource), fetches: map[string]int{}}
+	e.Source = src
+	j := algebra.Join(algebra.Scan("POSITION", "A"), algebra.Scan("POSITION", "B"),
+		[]string{"A.PosID"}, []string{"B.PosID"})
+	d := e.NewDerivation()
+	a, err := d.Plan(j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Estimate(n.Clone())
+	b, err := d.Plan(j)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Error("identical subtrees should hit the memo cache")
+		t.Error("a derivation should remember the statistics of a node it derived")
+	}
+	if got := src.fetches["POSITION"]; got != 1 {
+		t.Errorf("POSITION statistics fetched %d times in one derivation, want 1", got)
+	}
+	if _, err := e.NewDerivation().Plan(j); err != nil {
+		t.Fatal(err)
+	}
+	if got := src.fetches["POSITION"]; got != 2 {
+		t.Errorf("a new derivation must fetch afresh: %d fetches, want 2", got)
+	}
+}
+
+// TestEstimateSeesTableGrowth: estimates must follow the table's
+// current statistics, not the first ones ever fetched.
+func TestEstimateSeesTableGrowth(t *testing.T) {
+	e := estimator()
+	src := e.Source.(fixedSource)
+	scan := algebra.Scan("POSITION", "")
+	before, err := e.Estimate(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := *src["POSITION"]
+	grown.Cardinality = 2 * src["POSITION"].Cardinality
+	src["POSITION"] = &grown
+	after, err := e.Estimate(scan.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Card != 2*before.Card {
+		t.Errorf("estimate after growth = %g rows, want %g", after.Card, 2*before.Card)
 	}
 }
 

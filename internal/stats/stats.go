@@ -80,8 +80,6 @@ type Estimator struct {
 	// HistogramBuckets requests histograms when collecting base stats;
 	// 0 disables them (the paper evaluates the optimizer both ways).
 	HistogramBuckets int
-
-	cache map[string]*RelStats
 }
 
 // NewEstimator creates an estimator in semantic mode with histograms.
@@ -89,72 +87,110 @@ func NewEstimator(cat algebra.Catalog, src Source) *Estimator {
 	return &Estimator{Cat: cat, Source: src, Mode: ModeSemantic, HistogramBuckets: 20}
 }
 
-// Estimate derives statistics for the subtree. Results are memoized by
-// plan key within this estimator.
+// Estimate derives statistics for the subtree, fetching base-table
+// statistics afresh (nothing outlives the call, so a table that grew
+// since the last estimate is seen at its new size).
 func (e *Estimator) Estimate(n *algebra.Node) (*RelStats, error) {
-	if e.cache == nil {
-		e.cache = map[string]*RelStats{}
-	}
-	key := n.Key()
-	if s, ok := e.cache[key]; ok {
+	return e.NewDerivation().Plan(n)
+}
+
+// Derivation is one unit of estimation work, such as one optimization
+// or one query's Q-error report. It fetches each base table's
+// statistics at most once and remembers the statistics of every plan
+// node it has derived.
+type Derivation struct {
+	e      *Estimator
+	tables map[string]*meta.TableStats
+	nodes  map[*algebra.Node]*RelStats
+}
+
+// NewDerivation starts a derivation with empty caches.
+func (e *Estimator) NewDerivation() *Derivation {
+	return &Derivation{e: e, tables: map[string]*meta.TableStats{}, nodes: map[*algebra.Node]*RelStats{}}
+}
+
+// Plan derives statistics for the subtree bottom-up. Results are
+// cached per node, so the plan must not be modified while the
+// derivation is in use.
+func (d *Derivation) Plan(n *algebra.Node) (*RelStats, error) {
+	if s, ok := d.nodes[n]; ok {
 		return s, nil
 	}
-	s, err := e.estimate(n)
+	var in []*RelStats
+	for _, c := range []*algebra.Node{n.Left, n.Right} {
+		if c == nil {
+			continue
+		}
+		s, err := d.Plan(c)
+		if err != nil {
+			return nil, err
+		}
+		in = append(in, s)
+	}
+	s, err := d.Op(n, in...)
 	if err != nil {
 		return nil, err
 	}
-	e.cache[key] = s
+	d.nodes[n] = s
 	return s, nil
 }
 
-func (e *Estimator) estimate(n *algebra.Node) (*RelStats, error) {
+// Op derives the statistics of n's own output from its inputs'
+// statistics (in[0] the left input, in[1] the right). Only n's own
+// fields and schema are consulted, so its inputs may be memo group
+// references.
+func (d *Derivation) Op(n *algebra.Node, in ...*RelStats) (*RelStats, error) {
+	e := d.e
+	if n.Op != algebra.OpScan && len(in) == 0 {
+		return nil, fmt.Errorf("stats: %v without input statistics", n.Op)
+	}
 	switch n.Op {
 	case algebra.OpScan:
-		return e.scanStats(n)
+		return d.scanStats(n)
 	case algebra.OpTM, algebra.OpTD, algebra.OpSort:
-		return e.Estimate(n.Left)
+		return in[0], nil
 	case algebra.OpSelect:
-		in, err := e.Estimate(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		sel := e.Selectivity(n.Pred, in)
-		return scaleStats(in, sel), nil
+		sel := e.Selectivity(n.Pred, in[0])
+		return scaleStats(in[0], sel), nil
 	case algebra.OpProject:
-		in, err := e.Estimate(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		return e.projectStats(n, in)
+		return e.projectStats(n, in[0])
 	case algebra.OpDupElim:
-		in, err := e.Estimate(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		out := *in
-		out.Card = in.Card * 0.9 // mild default duplicate factor
+		out := *in[0]
+		out.Card = in[0].Card * 0.9 // mild default duplicate factor
 		return &out, nil
 	case algebra.OpCoalesce:
-		in, err := e.Estimate(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		out := *in
-		out.Card = in.Card * 0.75
+		out := *in[0]
+		out.Card = in[0].Card * 0.75
 		return &out, nil
-	case algebra.OpJoin:
-		return e.joinStats(n, false)
-	case algebra.OpTJoin:
-		return e.joinStats(n, true)
+	case algebra.OpJoin, algebra.OpTJoin:
+		if len(in) < 2 {
+			return nil, fmt.Errorf("stats: %v needs two inputs", n.Op)
+		}
+		return joinStats(n, in[0], in[1], n.Op == algebra.OpTJoin), nil
 	case algebra.OpTAggr:
-		return e.taggrStats(n)
+		return e.taggrStats(n, in[0])
 	default:
 		return nil, fmt.Errorf("stats: unknown op %v", n.Op)
 	}
 }
 
-func (e *Estimator) scanStats(n *algebra.Node) (*RelStats, error) {
-	ts, err := e.Source.TableStats(n.Table, e.HistogramBuckets)
+// tableStats fetches a base table's statistics once per derivation.
+func (d *Derivation) tableStats(table string) (*meta.TableStats, error) {
+	key := strings.ToUpper(table)
+	if ts, ok := d.tables[key]; ok {
+		return ts, nil
+	}
+	ts, err := d.e.Source.TableStats(table, d.e.HistogramBuckets)
+	if err != nil {
+		return nil, err
+	}
+	d.tables[key] = ts
+	return ts, nil
+}
+
+func (d *Derivation) scanStats(n *algebra.Node) (*RelStats, error) {
+	e := d.e
+	ts, err := d.tableStats(n.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -239,15 +275,7 @@ func scaleStats(in *RelStats, sel float64) *RelStats {
 
 // --- Join estimation ---
 
-func (e *Estimator) joinStats(n *algebra.Node, temporal bool) (*RelStats, error) {
-	l, err := e.Estimate(n.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := e.Estimate(n.Right)
-	if err != nil {
-		return nil, err
-	}
+func joinStats(n *algebra.Node, l, r *RelStats, temporal bool) *RelStats {
 	card := l.Card * r.Card
 	for i := range n.LeftCols {
 		var dl, dr int64 = 1, 1
@@ -281,7 +309,7 @@ func (e *Estimator) joinStats(n *algebra.Node, temporal bool) (*RelStats, error)
 	if temporal {
 		out.AvgTupleSize = l.AvgTupleSize + math.Max(0, r.AvgTupleSize-16)
 	}
-	return out, nil
+	return out
 }
 
 // overlapProbability estimates the chance two periods drawn from the
@@ -323,11 +351,7 @@ func durationAndSpan(s *RelStats) (dur, span float64, ok bool) {
 
 // --- Temporal aggregation estimation (§3.4) ---
 
-func (e *Estimator) taggrStats(n *algebra.Node) (*RelStats, error) {
-	in, err := e.Estimate(n.Left)
-	if err != nil {
-		return nil, err
-	}
+func (e *Estimator) taggrStats(n *algebra.Node, in *RelStats) (*RelStats, error) {
 	card := TAggrCardinality(in, n.GroupBy)
 	schema, err := n.Schema(e.Cat)
 	if err != nil {

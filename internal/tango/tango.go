@@ -291,6 +291,9 @@ func (m *Middleware) absorb(ex *Executor, root *telemetry.Span) {
 	}
 	var worstQ float64
 	var worstOp string
+	// One derivation for the whole report: each base table's
+	// statistics are fetched once, and each node's estimate once.
+	der := m.Est.NewDerivation()
 	st.Walk(func(s *telemetry.OpStats) {
 		n, ok := s.Node.(*algebra.Node)
 		if !ok || n == nil {
@@ -314,7 +317,7 @@ func (m *Middleware) absorb(ex *Executor, root *telemetry.Span) {
 			m.mu.Unlock()
 		}
 		if m.Metrics != nil && s.Rows > 0 {
-			if est, err := m.Est.Estimate(n); err == nil && est.Card > 0 {
+			if est, err := der.Plan(n); err == nil && est.Card > 0 {
 				q := est.Card / float64(s.Rows)
 				if q < 1 {
 					q = 1 / q

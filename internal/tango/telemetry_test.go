@@ -3,6 +3,7 @@ package tango
 import (
 	"strings"
 	"sync"
+	"tango/internal/algebra"
 	"testing"
 
 	"tango/internal/client"
@@ -264,3 +265,36 @@ func TestConcurrentQueriesWithTelemetry(t *testing.T) {
 type errRows int
 
 func (e errRows) Error() string { return "unexpected result cardinality" }
+
+// TestEstimateAfterLoad: the estimator must see rows loaded after its
+// first estimate. A process-wide statistics cache once kept reporting
+// the pre-load cardinality for as long as the middleware lived.
+func TestEstimateAfterLoad(t *testing.T) {
+	mw, _ := openMWMetrics(t, 2000)
+	scan := algebra.Scan("POSITION", "")
+	before, err := mw.Est.Estimate(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Card != 2000 {
+		t.Fatalf("estimate before load = %g rows, want 2000", before.Card)
+	}
+	more := make([]types.Tuple, 2000)
+	for i := range more {
+		more[i] = types.Tuple{types.Int(int64(i%7 + 1)), types.Str("emp"), types.Float(10), types.Int(1), types.Int(9)}
+	}
+	if _, err := mw.Conn.Load("POSITION", more); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := mw.Conn.TableStats("POSITION", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := mw.Est.Estimate(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Card != float64(ts.Cardinality) || after.Card != 4000 {
+		t.Errorf("estimate after load = %g rows; TableStats reports %d, want 4000", after.Card, ts.Cardinality)
+	}
+}

@@ -1,6 +1,7 @@
 package xxl
 
 import (
+	"errors"
 	"fmt"
 
 	"tango/internal/client"
@@ -42,16 +43,18 @@ func (t *TransferM) Schema() types.Schema { return t.schema }
 // SQL returns the statement this transfer issues.
 func (t *TransferM) SQL() string { return t.sql }
 
-// Open runs dependency loads, then opens the server-side cursor.
+// Open runs dependency loads, then opens the server-side cursor. A
+// failed Open releases what it acquired: the temp tables of the
+// dependencies that already ran are dropped before it returns.
 func (t *TransferM) Open() error {
 	for _, d := range t.deps {
 		if err := d.Run(); err != nil {
-			return err
+			return t.releaseDeps(err)
 		}
 	}
 	rows, err := t.conn.QueryWindowed(t.sql, t.Window)
 	if err != nil {
-		return fmt.Errorf("xxl: transfer^M: %w", err)
+		return t.releaseDeps(fmt.Errorf("xxl: transfer^M: %w", err))
 	}
 	if rows.Schema().Len() != t.schema.Len() {
 		err := fmt.Errorf("xxl: transfer^M: got %d columns, expected %d (%s)",
@@ -59,10 +62,23 @@ func (t *TransferM) Open() error {
 		if cerr := rows.Close(); cerr != nil {
 			err = fmt.Errorf("%w (close: %v)", err, cerr)
 		}
-		return err
+		return t.releaseDeps(err)
 	}
 	t.rows = rows
 	return nil
+}
+
+// releaseDeps drops the temp tables of the dependencies that ran and
+// returns err, joined with any cleanup failure.
+func (t *TransferM) releaseDeps(err error) error {
+	var cleanup []error
+	for _, d := range t.deps {
+		cleanup = append(cleanup, d.Cleanup())
+	}
+	if cerr := errors.Join(cleanup...); cerr != nil {
+		return errors.Join(err, cerr)
+	}
+	return err
 }
 
 // Next streams the next row from the DBMS.
