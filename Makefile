@@ -46,15 +46,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz smoke-runs the parser fuzz targets and the fault-schedule
-# decoder for FUZZTIME each, seeded from the evaluation workload. Any
-# crasher is written to the package's testdata/fuzz corpus and replays
-# under plain `go test`.
+# fuzz smoke-runs the parser fuzz targets, the fault-schedule, frame
+# and batch decoders and the WAL decoder for FUZZTIME each, seeded
+# from the evaluation workload. Any crasher is written to the
+# package's testdata/fuzz corpus and replays under plain `go test`.
 fuzz:
 	$(GO) test ./internal/sqlparser/ -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tsql/ -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
 
 # chaos runs the seeded fault-injection sweep (every seed query under
@@ -91,10 +92,11 @@ load:
 # GOMAXPROCS widths, so ci catches benchmarks that no longer compile
 # or crash without paying for real measurement. The Query1 pattern
 # also matches Query1Tracing, so ci smokes the tracing-overhead pair
-# on every run; GroupCommit smokes the concurrent commit path and
-# Optimize the optimizer alone on Q1–Q4.
+# on every run; GroupCommit smokes the concurrent commit path,
+# Optimize the optimizer alone on Q1–Q4, and EngineSort and HeapScan
+# the DBMS sort and the storage scan alone (with -benchmem).
 bench-smoke:
-	$(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM|GroupCommit|Optimize' -benchtime 1x -cpu 1,2
+	$(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM|GroupCommit|Optimize|EngineSort|HeapScan' -benchmem -benchtime 1x -cpu 1,2
 	$(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 1x
 
 # bench-json measures the sequential-vs-parallel query benchmarks

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"tango/internal/btree"
 	"tango/internal/rel"
@@ -169,11 +168,11 @@ type projectIter struct {
 	in     rel.Iterator
 	schema types.Schema
 	exprs  []evalFunc
-	out    types.Tuple
+	rows   types.RowAlloc
 }
 
 func newProject(in rel.Iterator, schema types.Schema, exprs []evalFunc) *projectIter {
-	return &projectIter{in: in, schema: schema, exprs: exprs, out: make(types.Tuple, len(exprs))}
+	return &projectIter{in: in, schema: schema, exprs: exprs}
 }
 
 func (p *projectIter) Schema() types.Schema { return p.schema }
@@ -185,7 +184,7 @@ func (p *projectIter) Next() (types.Tuple, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(types.Tuple, len(p.exprs))
+	out := p.rows.Row(len(p.exprs))
 	for i, e := range p.exprs {
 		v, err := e(t)
 		if err != nil {
@@ -217,13 +216,12 @@ func (s *sortIter) Open() error {
 	if err := s.in.Open(); err != nil {
 		return err
 	}
-	s.rows = s.rows[:0]
 	s.pos = 0
-	type keyed struct {
-		t  types.Tuple
-		ks types.Tuple
-	}
-	var rows []keyed
+	// One slab holds every row's key values, k per row; the sort
+	// orders an int32 permutation over it.
+	k := len(s.keys)
+	var rows []types.Tuple
+	var ks []types.Value
 	for {
 		t, ok, err := s.in.Next()
 		if err != nil {
@@ -232,25 +230,25 @@ func (s *sortIter) Open() error {
 		if !ok {
 			break
 		}
-		ks := make(types.Tuple, len(s.keys))
-		for i, k := range s.keys {
-			v, err := k(t)
+		for _, key := range s.keys {
+			v, err := key(t)
 			if err != nil {
 				return err
 			}
-			ks[i] = v
+			ks = append(ks, v)
 		}
-		rows = append(rows, keyed{t: t.Clone(), ks: ks})
+		rows = append(rows, t)
 	}
-	idx := make([]int, len(s.keys))
+	idx := make([]int, k)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return types.CompareTuples(rows[i].ks, rows[j].ks, idx, s.descs) < 0
+	perm := types.StableOrder(len(rows), func(a, b int) int {
+		return types.CompareTuples(ks[a*k:(a+1)*k], ks[b*k:(b+1)*k], idx, s.descs)
 	})
-	for _, r := range rows {
-		s.rows = append(s.rows, r.t)
+	s.rows = make([]types.Tuple, len(rows))
+	for i, p := range perm {
+		s.rows[i] = rows[p]
 	}
 	return s.in.Close()
 }
@@ -305,7 +303,7 @@ func (j *nlJoin) Open() error {
 		if !ok {
 			break
 		}
-		j.rightRows = append(j.rightRows, t.Clone())
+		j.rightRows = append(j.rightRows, t)
 	}
 	j.cur = nil
 	j.ri = 0
@@ -319,7 +317,7 @@ func (j *nlJoin) Next() (types.Tuple, bool, error) {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			j.cur = t.Clone()
+			j.cur = t
 			j.ri = 0
 		}
 		for j.ri < len(j.rightRows) {
@@ -397,7 +395,7 @@ func (j *indexNLJoin) Next() (types.Tuple, bool, error) {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			j.cur = t.Clone()
+			j.cur = t
 			key, err := j.outerKey(j.cur)
 			if err != nil {
 				return nil, false, err
@@ -500,7 +498,7 @@ func (j *hashJoin) Open() error {
 			return err
 		}
 		if valid {
-			j.table[h] = append(j.table[h], t.Clone())
+			j.table[h] = append(j.table[h], t)
 		}
 	}
 	if err := j.right.Close(); err != nil {
@@ -517,7 +515,7 @@ func (j *hashJoin) Next() (types.Tuple, bool, error) {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			j.cur = t.Clone()
+			j.cur = t
 			h, valid, err := hashKeys(j.cur, j.leftKeys)
 			if err != nil {
 				return nil, false, err
@@ -628,19 +626,15 @@ func materializeKeyed(in rel.Iterator, key evalFunc) (_ []types.Tuple, _ []types
 		if err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, t.Clone())
+		rows = append(rows, t)
 		keys = append(keys, v)
 	}
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return types.Less(keys[idx[a]], keys[idx[b]])
+	perm := types.StableOrder(len(rows), func(a, b int) int {
+		return types.Compare(keys[a], keys[b])
 	})
 	srows := make([]types.Tuple, len(rows))
 	skeys := make([]types.Value, len(rows))
-	for i, p := range idx {
+	for i, p := range perm {
 		srows[i] = rows[p]
 		skeys[i] = keys[p]
 	}

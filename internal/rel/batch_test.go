@@ -57,31 +57,32 @@ func TestSliceIterNextBatch(t *testing.T) {
 	}
 }
 
-// reusingIter returns the same scratch tuple on every Next — the
-// pathological producer the fallback adapter must defend against.
-type reusingIter struct {
-	n, i    int
-	scratch types.Tuple
+// freshIter returns a new tuple on every Next, as the Iterator
+// ownership rule requires, and remembers each one it returned.
+type freshIter struct {
+	n        int
+	returned []types.Tuple
 }
 
-func (it *reusingIter) Schema() types.Schema {
+func (it *freshIter) Schema() types.Schema {
 	return types.NewSchema(types.Column{Name: "A", Kind: types.KindInt})
 }
-func (it *reusingIter) Open() error  { it.i = 0; it.scratch = make(types.Tuple, 1); return nil }
-func (it *reusingIter) Close() error { return nil }
-func (it *reusingIter) Next() (types.Tuple, bool, error) {
-	if it.i >= it.n {
+func (it *freshIter) Open() error  { it.returned = nil; return nil }
+func (it *freshIter) Close() error { return nil }
+func (it *freshIter) Next() (types.Tuple, bool, error) {
+	if len(it.returned) >= it.n {
 		return nil, false, nil
 	}
-	it.scratch[0] = types.Int(int64(it.i))
-	it.i++
-	return it.scratch, true, nil
+	t := types.Tuple{types.Int(int64(len(it.returned)))}
+	it.returned = append(it.returned, t)
+	return t, true, nil
 }
 
-// TestAsBatchClonesFallback proves the generic adapter yields a valid
-// batch even when the producer reuses its tuple buffer.
-func TestAsBatchClonesFallback(t *testing.T) {
-	in := &reusingIter{n: 6}
+// TestAsBatchFallbackKeepsTuples asserts the generic adapter hands
+// the producer's tuples on as they are: returned tuples are immutable,
+// so the fallback neither copies them nor loses any.
+func TestAsBatchFallbackKeepsTuples(t *testing.T) {
+	in := &freshIter{n: 6}
 	b := AsBatch(in)
 	if err := b.Open(); err != nil {
 		t.Fatal(err)
@@ -97,7 +98,10 @@ func TestAsBatchClonesFallback(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		if dst[i][0].AsInt() != int64(i) {
-			t.Fatalf("batch row %d = %v: fallback did not clone", i, dst[i])
+			t.Fatalf("batch row %d = %v", i, dst[i])
+		}
+		if &dst[i][0] != &in.returned[i][0] {
+			t.Fatalf("batch row %d is a copy of the produced tuple", i)
 		}
 	}
 	if n, err := b.NextBatch(dst); err != nil || n != 0 {

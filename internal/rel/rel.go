@@ -7,7 +7,6 @@ package rel
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tango/internal/types"
@@ -17,14 +16,22 @@ import (
 // sets with init()/getNext()). Open must be called before Next; Next
 // returns ok=false at end of stream; Close releases resources and is
 // idempotent.
+//
+// Tuple ownership: a returned tuple is immutable. Callers may keep it
+// as long as they like without copying it, and must not write to it;
+// producers never reuse or modify a tuple once returned. A consumer
+// that needs to change a row (COALESCE^M extending a period) copies
+// it first. Tuples decoded from a page or a wire batch share that
+// batch's value slab and string (types.SlabDecoder), so keeping one
+// such tuple keeps its whole batch's slab and string alive.
 type Iterator interface {
 	// Schema describes the tuples the iterator produces. It must be
 	// valid before Open.
 	Schema() types.Schema
 	// Open prepares the iterator (and, transitively, its inputs).
 	Open() error
-	// Next returns the next tuple. The returned tuple may be reused by
-	// subsequent calls; callers that retain it must Clone it.
+	// Next returns the next tuple, which is immutable and which the
+	// caller may keep.
 	Next() (types.Tuple, bool, error)
 	// Close releases resources.
 	Close() error
@@ -83,9 +90,7 @@ func (r *Relation) SortBy(cols ...string) {
 	for i, c := range cols {
 		keys[i] = r.Schema.MustIndex(c)
 	}
-	sort.SliceStable(r.Tuples, func(i, j int) bool {
-		return types.CompareTuples(r.Tuples[i], r.Tuples[j], keys, nil) < 0
-	})
+	types.SortTuples(r.Tuples, keys, nil)
 }
 
 // IsSortedBy reports whether the relation is ordered by the given
@@ -140,8 +145,8 @@ func (it *sliceIter) Next() (types.Tuple, bool, error) {
 }
 
 // Drain materializes an iterator into a relation, opening and closing
-// it. Tuples are cloned so the result owns its memory. Batch-native
-// iterators are drained a batch at a time.
+// it. The relation keeps the produced tuples themselves (they are
+// immutable). Batch-native iterators are drained a batch at a time.
 func Drain(it Iterator) (*Relation, error) {
 	out := New(it.Schema())
 	if err := it.Open(); err != nil {
@@ -158,9 +163,7 @@ func Drain(it Iterator) (*Relation, error) {
 			if n == 0 {
 				break
 			}
-			for i := 0; i < n; i++ {
-				out.Append(dst[i].Clone())
-			}
+			out.Tuples = append(out.Tuples, dst[:n]...)
 		}
 	} else {
 		for {
@@ -171,7 +174,7 @@ func Drain(it Iterator) (*Relation, error) {
 			if !ok {
 				break
 			}
-			out.Append(t.Clone())
+			out.Append(t)
 		}
 	}
 	if err := it.Close(); err != nil {

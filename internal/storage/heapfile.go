@@ -132,23 +132,12 @@ func (h *HeapFile) Scan(fn func(RecordID, types.Tuple) bool) error {
 			return err
 		}
 		rids, tuples = rids[:0], tuples[:0]
-		slots := p.NumSlots()
-		for s := 0; s < slots; s++ {
-			rec, err := p.Record(s)
-			if err == ErrNoRecord {
-				continue
-			}
-			if err != nil {
-				ref.Release()
-				return err
-			}
-			t, _, err := types.DecodeTuple(rec)
-			if err != nil {
-				ref.Release()
-				return err
-			}
+		tuples, err = p.decodeSlots(p.NumSlots(), tuples, func(s int) {
 			rids = append(rids, RecordID{Page: pageNo, Slot: int32(s)})
-			tuples = append(tuples, t)
+		})
+		if err != nil {
+			ref.Release()
+			return err
 		}
 		ref.Release()
 		for i, t := range tuples {
@@ -171,6 +160,8 @@ func (h *HeapFile) PageTuples(pageNo int32, dst []types.Tuple) ([]types.Tuple, e
 // slot maxSlots, appending to dst; maxSlots < 0 means every slot.
 // Snapshot scans use the slot cap to stop a tail page at the reader's
 // visibility bound. The page is read under its shared content latch.
+// The tuples share one value slab (types.SlabDecoder), so a retained
+// tuple pins its page's slab, never the pool frame.
 func (h *HeapFile) PageTuplesN(pageNo int32, maxSlots int, dst []types.Tuple) ([]types.Tuple, error) {
 	pid := PageID{File: h.file, No: pageNo}
 	p, ref, err := h.pool.FetchShared(pid)
@@ -182,21 +173,7 @@ func (h *HeapFile) PageTuplesN(pageNo int32, maxSlots int, dst []types.Tuple) ([
 	if maxSlots >= 0 && maxSlots < slots {
 		slots = maxSlots
 	}
-	for s := 0; s < slots; s++ {
-		rec, err := p.Record(s)
-		if err == ErrNoRecord {
-			continue
-		}
-		if err != nil {
-			return dst, err
-		}
-		t, _, err := types.DecodeTuple(rec)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, t)
-	}
-	return dst, nil
+	return p.decodeSlots(slots, dst, nil)
 }
 
 // Bound reports the file's current visibility bound: the page count

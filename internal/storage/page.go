@@ -9,6 +9,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+
+	"tango/internal/types"
 )
 
 // PageSize is the size of every page in bytes (8 KB, a common DBMS
@@ -133,6 +136,42 @@ func (p *Page) Record(slot int) ([]byte, error) {
 		return nil, ErrNoRecord
 	}
 	return p.buf[off : off+length], nil
+}
+
+// decodeSlots decodes the live records in slots [0, slots) into
+// tuples sharing one value slab, appending them to dst in slot order;
+// each, when not nil, is told every decoded record's slot.
+func (p *Page) decodeSlots(slots int, dst []types.Tuple, each func(slot int)) ([]types.Tuple, error) {
+	var d types.SlabDecoder
+	d.Reset(p.buf[:])
+	live := 0
+	for s := 0; s < slots; s++ {
+		off, length := p.slotAt(s)
+		if length == 0 {
+			continue
+		}
+		n, err := d.Scan(off)
+		if err != nil {
+			return dst, err
+		}
+		if n > length {
+			return dst, fmt.Errorf("storage: record in slot %d overruns its %d bytes", s, length)
+		}
+		live++
+	}
+	dst = slices.Grow(dst, live)
+	for s := 0; s < slots; s++ {
+		off, length := p.slotAt(s)
+		if length == 0 {
+			continue
+		}
+		t, _ := d.Decode(off)
+		dst = append(dst, t)
+		if each != nil {
+			each(s)
+		}
+	}
+	return dst, nil
 }
 
 // Delete marks a slot as deleted (length 0). Space is not reclaimed;

@@ -164,9 +164,8 @@ func (it *Iter) Next() (types.Tuple, bool, error) {
 // iterator's NextBatch is used when it has one, one Next-equivalent
 // call is counted per batch, and rows/bytes are attributed exactly as
 // the tuple path would. When the wrapped operator is tuple-at-a-time,
-// the tuples are passed through unchanged (no clone); batch validity is
-// then whatever the operator provides, which for every operator in this
-// codebase is a fresh or owned tuple.
+// the tuples are passed through unchanged, which the rel.Iterator
+// ownership rule (returned tuples are immutable) makes safe.
 func (it *Iter) NextBatch(dst []types.Tuple) (int, error) {
 	start := time.Now()
 	var n int

@@ -112,3 +112,52 @@ func TestEncodedSize(t *testing.T) {
 		t.Error("EncodedSize mismatch")
 	}
 }
+
+// TestSlabDecoderRows decodes consecutive tuples into one slab and
+// checks that the rows stay independent of each other and of the
+// source buffer: appending to a row never writes into the next one,
+// and strings survive the source being overwritten.
+func TestSlabDecoderRows(t *testing.T) {
+	rows := []Tuple{
+		{Int(1), Str("alpha"), Float(2.5)},
+		{},
+		{Null, Str(""), Str("omega"), Date(9862)},
+	}
+	var src []byte
+	for _, r := range rows {
+		src = EncodeTuple(src, r)
+	}
+	var d SlabDecoder
+	d.Reset(src)
+	var offs []int
+	for off := 0; off < len(src); {
+		n, err := d.Scan(off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs = append(offs, off)
+		off += n
+	}
+	var got []Tuple
+	for _, off := range offs {
+		tu, _ := d.Decode(off)
+		got = append(got, tu)
+	}
+	for i := range src {
+		src[i] = 0xff
+	}
+	_ = append(got[0], Int(99))
+	for i, r := range rows {
+		if len(got[i]) != len(r) || cap(got[i]) != len(r) {
+			t.Fatalf("row %d: len %d cap %d, want %d", i, len(got[i]), cap(got[i]), len(r))
+		}
+		for j := range r {
+			if got[i][j].Kind() != r[j].Kind() || !Equal(got[i][j], r[j]) {
+				t.Errorf("row %d col %d = %v, want %v", i, j, got[i][j], r[j])
+			}
+		}
+	}
+	if _, err := d.Scan(len(src) - 1); err == nil {
+		t.Error("Scan accepted garbage")
+	}
+}

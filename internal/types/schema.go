@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -147,6 +148,28 @@ func (t Tuple) Clone() Tuple {
 	return c
 }
 
+// RowAlloc hands out tuples carved from shared slabs, so an operator
+// building its output rows pays one allocation per slab instead of one
+// per row. Slabs start at 8 rows and double up to 256, so a short
+// result wastes little. A kept row pins its slab. The zero RowAlloc
+// is ready to use; it is not safe for concurrent use.
+type RowAlloc struct {
+	rows int // rows per slab, the last time one was made
+	slab []Value
+}
+
+// Row returns a zeroed tuple of width values whose capacity is its
+// length, so appending to it never writes into another row.
+func (a *RowAlloc) Row(width int) Tuple {
+	if len(a.slab) < width {
+		a.rows = min(max(2*a.rows, 8), 256)
+		a.slab = make([]Value, a.rows*width)
+	}
+	t := a.slab[:width:width]
+	a.slab = a.slab[width:]
+	return t
+}
+
 // ByteSize returns the approximate size of the tuple in bytes.
 func (t Tuple) ByteSize() int {
 	n := 0
@@ -182,6 +205,50 @@ func CompareTuples(a, b Tuple, keys []int, desc []bool) int {
 		}
 	}
 	return 0
+}
+
+// CompareKeys orders tuple a on columns ak against tuple b on columns
+// bk, pairwise and ascending, without building key tuples.
+func CompareKeys(a Tuple, ak []int, b Tuple, bk []int) int {
+	for i, k := range ak {
+		if c := Compare(a[k], b[bk[i]]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// StableOrder returns the permutation that lists the indexes 0..n-1
+// in the order cmp (comparing items by index) sorts them; items that
+// compare equal keep their input order. It is the one stable sort of
+// the engine and the middleware operators: a pattern-defeating
+// quicksort over int32 positions with a position tiebreak, which
+// moves 4-byte indexes instead of rows and needs no reflection.
+func StableOrder(n int, cmp func(i, j int) int) []int32 {
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp(int(a), int(b)); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	return perm
+}
+
+// SortTuples sorts ts in place by the key columns (desc[i], when
+// provided, reverses key i), stably.
+func SortTuples(ts []Tuple, keys []int, desc []bool) {
+	perm := StableOrder(len(ts), func(i, j int) int {
+		return CompareTuples(ts[i], ts[j], keys, desc)
+	})
+	sorted := make([]Tuple, len(ts))
+	for i, p := range perm {
+		sorted[i] = ts[p]
+	}
+	copy(ts, sorted)
 }
 
 // TupleEqualOn reports whether two tuples agree on the given columns.

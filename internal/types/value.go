@@ -50,11 +50,14 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed scalar. The zero Value is NULL.
+//
+// A Value is 32 bytes: a float keeps its IEEE-754 bits in the integer
+// word, so no field is spent on a kind most values never take. Values
+// are never compared with ==; Compare, Equal and Hash define equality.
 type Value struct {
 	kind Kind
-	n    int64   // int, bool (0/1), date
-	f    float64 // float
-	s    string  // string
+	n    int64  // int, bool (0/1), date; float bits for KindFloat
+	s    string // string
 }
 
 // Null is the SQL NULL value.
@@ -64,7 +67,10 @@ var Null = Value{}
 func Int(v int64) Value { return Value{kind: KindInt, n: v} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: int64(math.Float64bits(v))} }
+
+// float returns the float held by a KindFloat value.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.n)) }
 
 // Str returns a string value.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
@@ -105,7 +111,7 @@ func (v Value) AsInt() int64 {
 	case KindInt, KindBool, KindDate:
 		return v.n
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.float())
 	case KindString:
 		n, _ := strconv.ParseInt(v.s, 10, 64)
 		return n
@@ -120,7 +126,7 @@ func (v Value) AsFloat() float64 {
 	case KindInt, KindBool, KindDate:
 		return float64(v.n)
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindString:
 		f, _ := strconv.ParseFloat(v.s, 64)
 		return f
@@ -144,7 +150,7 @@ func (v Value) AsBool() bool {
 	case KindBool, KindInt, KindDate:
 		return v.n != 0
 	case KindFloat:
-		return v.f != 0
+		return v.float() != 0
 	case KindString:
 		return v.s != ""
 	default:
@@ -160,7 +166,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.n, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
@@ -270,10 +276,18 @@ func (v Value) Hash() uint64 {
 		h.WriteByte(0)
 	case numericKind(v.kind):
 		// Normalize all numerics through float64 so Int(2), Float(2.0)
-		// and Date(2) hash alike, matching Compare.
+		// and Date(2) hash alike, matching Compare. -0.0 equals 0.0 and
+		// every NaN payload is one NaN, so each pair hashes alike too.
+		f := v.AsFloat()
+		switch {
+		case f == 0:
+			f = 0
+		case f != f:
+			f = math.NaN()
+		}
 		var buf [9]byte
 		buf[0] = 1
-		bits := math.Float64bits(v.AsFloat())
+		bits := math.Float64bits(f)
 		for i := 0; i < 8; i++ {
 			buf[1+i] = byte(bits >> (8 * i))
 		}

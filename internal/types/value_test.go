@@ -1,10 +1,12 @@
 package types
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -87,6 +89,9 @@ func TestHashConsistentWithEqual(t *testing.T) {
 		{Bool(true), Int(1)},
 		{Str("x"), Str("x")},
 		{Null, Null},
+		{Float(math.Copysign(0, -1)), Float(0)},
+		{Float(math.Copysign(0, -1)), Int(0)},
+		{Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000001))},
 	}
 	for _, p := range pairs {
 		if !Equal(p[0], p[1]) {
@@ -171,6 +176,41 @@ func TestGreatestLeastAgainstCompare(t *testing.T) {
 		}
 		if !Equal(Add(g, l), Add(a, b)) {
 			t.Fatalf("Greatest+Least should preserve sum for ints")
+		}
+	}
+}
+
+// TestFloatInIntegerWord pins the 32-byte Value: a float lives as its
+// IEEE-754 bits in the integer word, so -0.0 keeps its sign and NaN
+// stays NaN through the accessors and the codec, while Compare keeps
+// its semantics (-0.0 equals 0.0; NaN is unordered, so it compares
+// neither less nor greater than any number).
+func TestFloatInIntegerWord(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("Value is %d bytes, want 32", got)
+	}
+	negZero, nan := Float(math.Copysign(0, -1)), Float(math.NaN())
+	if !math.Signbit(negZero.AsFloat()) || negZero.String() != "-0" {
+		t.Errorf("-0.0 lost its sign: %v", negZero)
+	}
+	if !math.IsNaN(nan.AsFloat()) || nan.String() != "NaN" {
+		t.Errorf("NaN lost: %v", nan)
+	}
+	if Compare(negZero, Float(0)) != 0 || Compare(negZero, Float(1)) != -1 || Compare(Float(-1), negZero) != -1 {
+		t.Error("-0.0 orders differently from 0.0")
+	}
+	for _, v := range []Value{Float(1), Float(-1), Int(3)} {
+		if Compare(nan, v) != 0 || Compare(v, nan) != 0 {
+			t.Errorf("Compare(NaN, %v) ordered an unordered pair", v)
+		}
+	}
+	for _, v := range []Value{negZero, nan, Float(math.Inf(-1)), Float(1.5e-300)} {
+		got, _, err := DecodeTuple(EncodeTuple(nil, Tuple{v}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0].Kind() != KindFloat || math.Float64bits(got[0].AsFloat()) != math.Float64bits(v.AsFloat()) {
+			t.Errorf("codec changed %v to %v", v, got[0])
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -63,27 +64,35 @@ func DecodeBatch(data []byte) ([]types.Tuple, error) {
 }
 
 // DecodeBatchInto decodes a batch appending to dst, so a steady-state
-// consumer can recycle one row-header slice across fetches (the decoded
-// tuples themselves are fresh allocations — consumers may retain them).
+// consumer can recycle one row-header slice across fetches. The rows
+// share one value slab and one string copied from data (see
+// types.SlabDecoder): consumers may retain them, and data may be
+// reused as soon as the call returns.
 func DecodeBatchInto(dst []types.Tuple, data []byte) ([]types.Tuple, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, fmt.Errorf("wire: bad batch header")
 	}
+	var d types.SlabDecoder
+	d.Reset(data)
+	// Every row costs at least one byte, so this loop ends within
+	// len(data) rows whatever count the header claims.
 	pos := k
-	if dst == nil {
-		dst = make([]types.Tuple, 0, n)
-	}
 	for i := uint64(0); i < n; i++ {
-		t, used, err := types.DecodeTuple(data[pos:])
+		used, err := d.Scan(pos)
 		if err != nil {
 			return nil, fmt.Errorf("wire: row %d: %w", i, err)
 		}
 		pos += used
-		dst = append(dst, t)
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("wire: %d trailing bytes", len(data)-pos)
+	}
+	dst = slices.Grow(dst, int(n))
+	for pos = k; pos < len(data); {
+		t, used := d.Decode(pos)
+		pos += used
+		dst = append(dst, t)
 	}
 	return dst, nil
 }

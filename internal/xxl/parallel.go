@@ -207,12 +207,15 @@ func mergeSortedChunks(chunks [][]types.Tuple, keys []int, descs []bool) []types
 	}
 	heap.Init(h)
 	for h.Len() > 0 {
-		top := heap.Pop(h).(mergeItem)
+		top := h.items[0]
 		out = append(out, top.tuple)
 		src := top.src
 		if p := pos[src]; p < len(chunks[src]) {
 			pos[src]++
-			heap.Push(h, mergeItem{tuple: chunks[src][p], src: src})
+			h.items[0].tuple = chunks[src][p]
+			heap.Fix(h, 0)
+		} else {
+			heap.Pop(h)
 		}
 	}
 	return out

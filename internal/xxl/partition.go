@@ -26,8 +26,8 @@ import (
 // partitioning; below it worker overhead dominates.
 const minPartitionRows = 1024
 
-// drainSorted materializes an iterator (opening and closing it),
-// cloning every tuple, and validates that consecutive tuples are
+// drainSorted materializes an iterator (opening and closing it) and
+// validates that consecutive tuples are
 // ordered on keys; violations are reported through errf (prev, cur).
 // A nil errf skips validation.
 func drainSorted(in rel.Iterator, keys []int, errf func(prev, cur types.Tuple) error) ([]types.Tuple, error) {
@@ -53,7 +53,7 @@ func drainSorted(in rel.Iterator, keys []int, errf func(prev, cur types.Tuple) e
 				break
 			}
 			for i := 0; i < n && err == nil; i++ {
-				err = check(dst[i].Clone())
+				err = check(dst[i])
 			}
 		}
 	} else {
@@ -64,7 +64,7 @@ func drainSorted(in rel.Iterator, keys []int, errf func(prev, cur types.Tuple) e
 			if err != nil || !ok2 {
 				break
 			}
-			err = check(t.Clone())
+			err = check(t)
 		}
 	}
 	if err != nil {
@@ -165,8 +165,8 @@ func runPartitions(par, n int, fn func(i int) ([]types.Tuple, error)) ([][]types
 	return outs, nil
 }
 
-// drainOwned drains an iterator whose tuples are fresh allocations
-// (true for every operator in this package), without cloning.
+// drainOwned drains an iterator into a slice of its (immutable)
+// tuples.
 func drainOwned(it rel.Iterator) ([]types.Tuple, error) {
 	if err := it.Open(); err != nil {
 		return nil, err
@@ -413,7 +413,7 @@ func (a *PTAggr) dispatch(par int) {
 				break
 			}
 			for i := 0; i < n && readErr == nil; i++ {
-				readErr = take(dst[i].Clone())
+				readErr = take(dst[i])
 			}
 		} else {
 			var t types.Tuple
@@ -423,7 +423,7 @@ func (a *PTAggr) dispatch(par int) {
 				break
 			}
 			if readErr == nil {
-				readErr = take(t.Clone())
+				readErr = take(t)
 			}
 		}
 		if readErr != nil {
@@ -623,13 +623,12 @@ func rightRange(right []types.Tuple, rkeys []int, leftPart []types.Tuple, lkeys 
 	if len(leftPart) == 0 || len(right) == 0 {
 		return 0, 0
 	}
-	first := keyTuple(leftPart[0], lkeys)
-	last := keyTuple(leftPart[len(leftPart)-1], lkeys)
+	first, last := leftPart[0], leftPart[len(leftPart)-1]
 	lo := sort.Search(len(right), func(i int) bool {
-		return cmpKeys(keyTuple(right[i], rkeys), first) >= 0
+		return types.CompareKeys(right[i], rkeys, first, lkeys) >= 0
 	})
 	hi := sort.Search(len(right), func(i int) bool {
-		return cmpKeys(keyTuple(right[i], rkeys), last) > 0
+		return types.CompareKeys(right[i], rkeys, last, lkeys) > 0
 	})
 	return lo, hi
 }

@@ -16,11 +16,9 @@ import (
 // trivially preserved — batches flow through a single channel in
 // production order.
 //
-// The wrapped iterator's batch tuples must stay valid after its next
-// NextBatch call, which holds for every operator in this codebase
-// (transfers decode fresh tuples per fetch; middleware operators hand
-// out owned tuples). Plain tuple-at-a-time producers are cloned by the
-// generic batch fallback.
+// The wrapped iterator's batch tuples stay valid after its next
+// NextBatch call because returned tuples are immutable (the
+// rel.Iterator ownership rule).
 type Prefetch struct {
 	in rel.Iterator
 	// BatchSize is the rows per prefetched batch (default
@@ -111,7 +109,7 @@ func (p *Prefetch) worker() {
 		if isBatch {
 			n, err = b.NextBatch(buf)
 		} else {
-			n, err = rel.NextBatch(p.in, buf) // clone fallback
+			n, err = rel.NextBatch(p.in, buf)
 		}
 		select {
 		case <-p.stop:

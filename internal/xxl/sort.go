@@ -11,7 +11,6 @@ import (
 	"container/heap"
 	"fmt"
 	"os"
-	"sort"
 
 	"tango/internal/rel"
 	"tango/internal/types"
@@ -96,9 +95,8 @@ func (s *Sort) Open() (err error) {
 		buf = gen.spill(buf)
 		return gen.err()
 	}
-	// Pull the input a batch at a time when it supports it; tuples are
-	// cloned either way because the sort retains them past the next
-	// producer call.
+	// Pull the input a batch at a time when it supports it. The sort
+	// keeps the (immutable) input tuples themselves.
 	if b, ok := s.in.(rel.BatchIterator); ok {
 		dst := make([]types.Tuple, rel.DefaultBatchSize)
 		for {
@@ -110,7 +108,7 @@ func (s *Sort) Open() (err error) {
 				break
 			}
 			for i := 0; i < n; i++ {
-				buf = append(buf, dst[i].Clone())
+				buf = append(buf, dst[i])
 				if len(buf) >= s.MemTuples {
 					if e := spill(); e != nil {
 						return e
@@ -127,7 +125,7 @@ func (s *Sort) Open() (err error) {
 			if !ok2 {
 				break
 			}
-			buf = append(buf, t.Clone())
+			buf = append(buf, t)
 			if len(buf) >= s.MemTuples {
 				if e := spill(); e != nil {
 					return e
@@ -183,9 +181,7 @@ func (s *Sort) reportStats(gen *runGen, par int) {
 }
 
 func (s *Sort) sortBuf(buf []types.Tuple) {
-	sort.SliceStable(buf, func(i, j int) bool {
-		return types.CompareTuples(buf[i], buf[j], s.keys, s.descs) < 0
-	})
+	types.SortTuples(buf, s.keys, s.descs)
 }
 
 // SpilledBytes reports the bytes the last Open wrote to spill runs
@@ -264,11 +260,14 @@ func removeRuns(files []*os.File) {
 	}
 }
 
-// runReader streams tuples back from a run file.
+// runReader streams tuples back from a run file, decoding a batch of
+// them at a time into one value slab.
 type runReader struct {
 	f    *os.File
 	data []byte
 	pos  int
+	rows []types.Tuple // decoded batch
+	ri   int
 }
 
 func newRunReader(f *os.File) (*runReader, error) {
@@ -284,15 +283,39 @@ func newRunReader(f *os.File) (*runReader, error) {
 }
 
 func (r *runReader) next() (types.Tuple, bool, error) {
-	if r.pos >= len(r.data) {
-		return nil, false, nil
+	if r.ri >= len(r.rows) {
+		if r.pos >= len(r.data) {
+			return nil, false, nil
+		}
+		if err := r.fill(); err != nil {
+			return nil, false, err
+		}
 	}
-	t, n, err := types.DecodeTuple(r.data[r.pos:])
-	if err != nil {
-		return nil, false, fmt.Errorf("xxl: corrupt sort run: %w", err)
-	}
-	r.pos += n
+	t := r.rows[r.ri]
+	r.ri++
 	return t, true, nil
+}
+
+// fill decodes the next rel.DefaultBatchSize tuples (or the rest of
+// the run) into r.rows.
+func (r *runReader) fill() error {
+	var d types.SlabDecoder
+	d.Reset(r.data)
+	end := r.pos
+	for n := 0; n < rel.DefaultBatchSize && end < len(r.data); n++ {
+		used, err := d.Scan(end)
+		if err != nil {
+			return fmt.Errorf("xxl: corrupt sort run: %w", err)
+		}
+		end += used
+	}
+	r.rows, r.ri = r.rows[:0], 0
+	for r.pos < end {
+		t, used := d.Decode(r.pos)
+		r.pos += used
+		r.rows = append(r.rows, t)
+	}
+	return nil
 }
 
 func (r *runReader) close() error {
@@ -370,13 +393,18 @@ func (m *runMerger) next() (types.Tuple, bool, error) {
 	if m.h.Len() == 0 {
 		return nil, false, nil
 	}
-	top := heap.Pop(m.h).(mergeItem)
+	top := m.h.items[0]
 	t, ok, err := m.readers[top.src].next()
 	if err != nil {
 		return nil, false, err
 	}
+	// Replacing the top in place moves no item through an interface,
+	// so passing a row on allocates nothing.
 	if ok {
-		heap.Push(m.h, mergeItem{tuple: t, src: top.src})
+		m.h.items[0].tuple = t
+		heap.Fix(m.h, 0)
+	} else {
+		heap.Pop(m.h)
 	}
 	return top.tuple, true, nil
 }

@@ -1,9 +1,9 @@
 package xxl
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"tango/internal/rel"
 	"tango/internal/types"
@@ -49,6 +49,7 @@ type TAggr struct {
 	inDone  bool
 	opened  bool
 	sortKey []int // groupBy + T1, for input order validation
+	rows    types.RowAlloc
 }
 
 // NewTAggr creates a temporal aggregation over input columns. The
@@ -128,7 +129,6 @@ func (a *TAggr) readGroup() ([]types.Tuple, error) {
 			a.inDone = true
 			break
 		}
-		t = t.Clone()
 		// The algorithm's contract (§3.4) requires the argument sorted
 		// on the grouping attributes and T1; a violation means a broken
 		// plan, and silent acceptance would produce wrong aggregates.
@@ -152,11 +152,13 @@ func (a *TAggr) readGroup() ([]types.Tuple, error) {
 // arrives sorted by T1; a second copy is sorted by T2 (the paper's
 // internal sort), and the two orders are merged as event streams.
 func (a *TAggr) sweep(group []types.Tuple) []types.Tuple {
-	byEnd := make([]types.Tuple, len(group))
-	copy(byEnd, group)
-	sort.SliceStable(byEnd, func(i, j int) bool {
-		return byEnd[i][a.t2].AsInt() < byEnd[j][a.t2].AsInt()
+	perm := types.StableOrder(len(group), func(i, j int) int {
+		return cmp.Compare(group[i][a.t2].AsInt(), group[j][a.t2].AsInt())
 	})
+	byEnd := make([]types.Tuple, len(group))
+	for i, p := range perm {
+		byEnd[i] = group[p]
+	}
 
 	states := make([]aggRun, len(a.aggs))
 	for i, spec := range a.aggs {
@@ -169,7 +171,7 @@ func (a *TAggr) sweep(group []types.Tuple) []types.Tuple {
 		if from >= to || active == 0 {
 			return
 		}
-		row := make(types.Tuple, 0, a.schema.Len())
+		row := a.rows.Row(a.schema.Len())[:0]
 		for _, g := range a.groupBy {
 			row = append(row, group[0][g])
 		}
