@@ -93,10 +93,11 @@ load:
 # or crash without paying for real measurement. The Query1 pattern
 # also matches Query1Tracing, so ci smokes the tracing-overhead pair
 # on every run; GroupCommit smokes the concurrent commit path,
-# Optimize the optimizer alone on Q1–Q4, and EngineSort and HeapScan
-# the DBMS sort and the storage scan alone (with -benchmem).
+# Optimize the optimizer alone on Q1–Q4, and EngineSort, EngineJoin and
+# HeapScan the DBMS sort, the DBMS joins under the generator's nested
+# statements and the storage scan alone (with -benchmem).
 bench-smoke:
-	$(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM|GroupCommit|Optimize|EngineSort|HeapScan' -benchmem -benchtime 1x -cpu 1,2
+	$(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM|GroupCommit|Optimize|EngineSort|EngineJoin|HeapScan' -benchmem -benchtime 1x -cpu 1,2
 	$(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 1x
 
 # bench-json measures the sequential-vs-parallel query benchmarks

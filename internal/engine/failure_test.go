@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"testing"
 
+	"tango/internal/rel"
 	"tango/internal/storage"
+	"tango/internal/telemetry"
 	"tango/internal/types"
 )
 
@@ -99,5 +101,109 @@ func TestBulkLoadSurfacesInjectedWriteError(t *testing.T) {
 	db.Disk().FailWritesAfter(2)
 	if err := db.BulkLoad("B", rows); err == nil {
 		t.Fatal("bulk load over failing disk should error")
+	}
+}
+
+// flakyInput yields rows of one integer column and fails at Open
+// (failAt < 0) or at the failAt-th Next; it counts its Opens and
+// Closes.
+type flakyInput struct {
+	failAt        int
+	pos           int
+	opens, closes int
+}
+
+var errFlaky = errors.New("flaky input")
+
+func (f *flakyInput) Schema() types.Schema {
+	return types.NewSchema(types.Column{Name: "K", Kind: types.KindInt})
+}
+
+func (f *flakyInput) Open() error {
+	if f.failAt < 0 {
+		return errFlaky
+	}
+	f.opens++
+	f.pos = 0
+	return nil
+}
+
+func (f *flakyInput) Next() (types.Tuple, bool, error) {
+	if f.pos == f.failAt {
+		return nil, false, errFlaky
+	}
+	f.pos++
+	if f.pos > 3 {
+		return nil, false, nil
+	}
+	return types.Tuple{types.Int(int64(f.pos))}, true, nil
+}
+
+func (f *flakyInput) Close() error { f.closes++; return nil }
+
+// TestFailedOpenClosesInputs pins the rule that a failed Open releases
+// what it acquired: every operator that drains or opens inputs in Open
+// closes each input it opened when a later step fails, so no cursor
+// stays open and each instrumented input flushes its stats once.
+func TestFailedOpenClosesInputs(t *testing.T) {
+	key := func(tu types.Tuple) (types.Value, error) { return tu[0], nil }
+	keys := []evalFunc{key}
+	pair := types.NewSchema(types.Column{Name: "K", Kind: types.KindInt}).
+		Concat(types.NewSchema(types.Column{Name: "K2", Kind: types.KindInt}))
+	out := func() joiner { return joiner{schema: pair, pair: make(types.Tuple, 2), nl: 1} }
+	ops := []struct {
+		name  string
+		fails []int // failAt per input; -1 fails Open
+		build func(in []rel.Iterator) rel.Iterator
+	}{
+		{"sort/next", []int{2}, func(in []rel.Iterator) rel.Iterator {
+			return newSort(in[0], keys, []bool{false})
+		}},
+		{"group/next", []int{1}, func(in []rel.Iterator) rel.Iterator {
+			return newGroup(in[0], keys, nil, types.NewSchema(types.Column{Name: "K", Kind: types.KindInt}))
+		}},
+		{"hashjoin/right-next", []int{9, 2}, func(in []rel.Iterator) rel.Iterator {
+			return newHashJoin(in[0], in[1], keys, keys, out())
+		}},
+		{"hashjoin/left-open", []int{-1, 9}, func(in []rel.Iterator) rel.Iterator {
+			return newHashJoin(in[0], in[1], keys, keys, out())
+		}},
+		{"nljoin/right-next", []int{9, 1}, func(in []rel.Iterator) rel.Iterator {
+			return newNLJoin(in[0], in[1], out())
+		}},
+		{"nljoin/right-open", []int{9, -1}, func(in []rel.Iterator) rel.Iterator {
+			return newNLJoin(in[0], in[1], out())
+		}},
+		{"mergejoin/right-next", []int{9, 0}, func(in []rel.Iterator) rel.Iterator {
+			return newMergeJoin(in[0], in[1], key, key, out())
+		}},
+		{"union/right-open", []int{9, -1}, func(in []rel.Iterator) rel.Iterator {
+			return newUnionAll(in[0], in[1])
+		}},
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			var raw []*flakyInput
+			var in []rel.Iterator
+			flushes := make([]int, len(op.fails))
+			for i, at := range op.fails {
+				f := &flakyInput{failAt: at}
+				w := telemetry.Instrument(fmt.Sprintf("input%d", i), nil, f)
+				w.Sink = func(*telemetry.OpStats) { flushes[i]++ }
+				raw = append(raw, f)
+				in = append(in, w)
+			}
+			if err := op.build(in).Open(); !errors.Is(err, errFlaky) {
+				t.Fatalf("Open = %v, want the input's failure", err)
+			}
+			for i, f := range raw {
+				if f.opens != f.closes {
+					t.Errorf("input %d: %d opens, %d closes", i, f.opens, f.closes)
+				}
+				if f.opens > 0 && flushes[i] != 1 {
+					t.Errorf("input %d: stats flushed %d times, want 1", i, flushes[i])
+				}
+			}
+		})
 	}
 }

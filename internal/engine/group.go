@@ -113,10 +113,16 @@ func newGroup(in rel.Iterator, keys []evalFunc, aggs []*aggSpec, schema types.Sc
 
 func (g *groupIter) Schema() types.Schema { return g.schema }
 
-func (g *groupIter) Open() error {
+// Open drains the input into groups, closing it on every path.
+func (g *groupIter) Open() (err error) {
 	if err := g.in.Open(); err != nil {
 		return err
 	}
+	defer func() {
+		if cerr := g.in.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	type groupState struct {
 		key    types.Tuple
 		states []*aggState
@@ -154,9 +160,6 @@ func (g *groupIter) Open() error {
 				return err
 			}
 		}
-	}
-	if err := g.in.Close(); err != nil {
-		return err
 	}
 	g.results = g.results[:0]
 	g.pos = 0

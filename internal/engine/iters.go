@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"tango/internal/btree"
@@ -13,9 +14,11 @@ import (
 
 // heapScan streams all live tuples of a table page-at-a-time through
 // the buffer pool: memory use is one page of decoded tuples, and the
-// pool's read accounting reflects the scan.
+// pool's read accounting reflects the scan. Each tuple holds only the
+// table columns keep lists (nil: all of them), in table order.
 type heapScan struct {
 	table  *Table
+	keep   []int
 	schema types.Schema
 
 	numPages int
@@ -25,12 +28,15 @@ type heapScan struct {
 	opened   bool
 }
 
-func newHeapScan(t *Table, qualifier string) *heapScan {
+func newHeapScan(t *Table, qualifier string, keep []int) *heapScan {
 	schema := t.Schema
+	if keep != nil {
+		schema = schema.Project(keep)
+	}
 	if qualifier != "" {
 		schema = schema.Qualify(qualifier)
 	}
-	return &heapScan{table: t, schema: schema}
+	return &heapScan{table: t, keep: keep, schema: schema}
 }
 
 func (s *heapScan) Schema() types.Schema { return s.schema }
@@ -60,7 +66,7 @@ func (s *heapScan) Next() (types.Tuple, bool, error) {
 			maxSlots = int(s.table.tailSlots)
 		}
 		var err error
-		s.buf, err = s.table.Heap.PageTuplesN(s.pageNo, maxSlots, s.buf[:0])
+		s.buf, err = s.table.Heap.PageTuplesN(s.pageNo, maxSlots, s.keep, s.buf[:0])
 		if err != nil {
 			return nil, false, err
 		}
@@ -77,10 +83,12 @@ func (s *heapScan) Close() error { s.buf = nil; return nil }
 // --- Index scan ---
 
 // indexScan reads tuples via a secondary index in key order, optionally
-// restricted to a key range.
+// restricted to a key range, keeping the columns of the heap scan it
+// replaces.
 type indexScan struct {
 	table  *Table
 	col    string
+	keep   []int
 	schema types.Schema
 	lo, hi types.Value
 	hiIncl bool
@@ -88,12 +96,8 @@ type indexScan struct {
 	pos    int
 }
 
-func newIndexScan(t *Table, qualifier, col string, lo, hi types.Value, hiIncl bool) *indexScan {
-	schema := t.Schema
-	if qualifier != "" {
-		schema = schema.Qualify(qualifier)
-	}
-	return &indexScan{table: t, col: col, schema: schema, lo: lo, hi: hi, hiIncl: hiIncl}
+func newIndexScan(hs *heapScan, col string, lo, hi types.Value, hiIncl bool) *indexScan {
+	return &indexScan{table: hs.table, col: col, keep: hs.keep, schema: hs.schema, lo: lo, hi: hi, hiIncl: hiIncl}
 }
 
 func (s *indexScan) Schema() types.Schema { return s.schema }
@@ -121,7 +125,7 @@ func (s *indexScan) Next() (types.Tuple, bool, error) {
 	if s.pos >= len(s.rids) {
 		return nil, false, nil
 	}
-	t, err := s.table.Heap.Get(s.rids[s.pos])
+	t, err := s.table.Heap.Get(s.rids[s.pos], s.keep)
 	if err != nil {
 		return nil, false, err
 	}
@@ -184,15 +188,21 @@ func (p *projectIter) Next() (types.Tuple, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := p.rows.Row(len(p.exprs))
-	for i, e := range p.exprs {
+	out, err := project(&p.rows, p.exprs, t)
+	return out, err == nil, err
+}
+
+// project evaluates exprs over t into a fresh row carved from rows.
+func project(rows *types.RowAlloc, exprs []evalFunc, t types.Tuple) (types.Tuple, error) {
+	out := rows.Row(len(exprs))
+	for i, e := range exprs {
 		v, err := e(t)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		out[i] = v
 	}
-	return out, true, nil
+	return out, nil
 }
 
 // --- Sort ---
@@ -202,7 +212,8 @@ type sortIter struct {
 	in    rel.Iterator
 	keys  []evalFunc
 	descs []bool
-	rows  []types.Tuple
+	rows  []types.Tuple // in input order
+	perm  []int32       // rows in sorted order
 	pos   int
 }
 
@@ -212,13 +223,20 @@ func newSort(in rel.Iterator, keys []evalFunc, descs []bool) *sortIter {
 
 func (s *sortIter) Schema() types.Schema { return s.in.Schema() }
 
-func (s *sortIter) Open() error {
+// Open drains and sorts the input, closing it on every path.
+func (s *sortIter) Open() (err error) {
 	if err := s.in.Open(); err != nil {
 		return err
 	}
+	defer func() {
+		if cerr := s.in.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	s.pos = 0
 	// One slab holds every row's key values, k per row; the sort
-	// orders an int32 permutation over it.
+	// orders an int32 permutation over it, on the first key's prefix
+	// and then the full comparison.
 	k := len(s.keys)
 	var rows []types.Tuple
 	var ks []types.Value
@@ -243,71 +261,124 @@ func (s *sortIter) Open() error {
 	for i := range idx {
 		idx[i] = i
 	}
-	perm := types.StableOrder(len(rows), func(a, b int) int {
+	prefix, exact := types.SortPrefixes(ks, k, s.descs[0])
+	cmp := func(a, b int) int {
 		return types.CompareTuples(ks[a*k:(a+1)*k], ks[b*k:(b+1)*k], idx, s.descs)
-	})
-	s.rows = make([]types.Tuple, len(rows))
-	for i, p := range perm {
-		s.rows[i] = rows[p]
 	}
-	return s.in.Close()
+	if exact && k == 1 {
+		cmp = nil // the prefix orders the one key alone
+	}
+	s.rows, s.perm = rows, types.StableOrder(len(rows), prefix, cmp)
+	return nil
 }
 
 func (s *sortIter) Next() (types.Tuple, bool, error) {
-	if s.pos >= len(s.rows) {
+	if s.pos >= len(s.perm) {
 		return nil, false, nil
 	}
-	t := s.rows[s.pos]
+	t := s.rows[s.perm[s.pos]]
 	s.pos++
 	return t, true, nil
 }
 
-func (s *sortIter) Close() error { s.rows = nil; return nil }
+// Close releases the sorted rows; Open already closed the input.
+func (s *sortIter) Close() error { s.rows, s.perm = nil, nil; return nil }
+
+// --- Join output ---
+
+// joiner is the output stage every join shares. Each candidate pair is
+// assembled in pair, a scratch buffer the join owns and never returns:
+// the residual runs on it, and only a pair that passes allocates, a
+// fresh RowAlloc row holding either the whole pair or, for the last
+// join of a block, the block's select list projected from it. So a
+// returned tuple is never reused, as rel.Iterator requires, and a
+// rejected candidate costs a copy into the buffer, not a row.
+type joiner struct {
+	schema   types.Schema // output: the pair's, or the projection's
+	residual evalFunc     // over the pair; nil passes every pair
+	proj     []evalFunc   // over the pair; nil outputs the pair itself
+	pair     types.Tuple
+	nl       int // width of the pair's left part
+	rows     types.RowAlloc
+}
+
+func (o *joiner) Schema() types.Schema { return o.schema }
+
+// setLeft fills the left part of the pair.
+func (o *joiner) setLeft(l types.Tuple) { copy(o.pair[:o.nl], l) }
+
+// emit completes the pair with the right row r and returns its output
+// row; ok is false when the residual rejects the pair.
+func (o *joiner) emit(r types.Tuple) (_ types.Tuple, ok bool, _ error) {
+	copy(o.pair[o.nl:], r)
+	if o.residual != nil {
+		v, err := o.residual(o.pair)
+		if err != nil {
+			return nil, false, err
+		}
+		if v.IsNull() || !v.AsBool() {
+			return nil, false, nil
+		}
+	}
+	if o.proj == nil {
+		out := o.rows.Row(len(o.pair))
+		copy(out, o.pair)
+		return out, true, nil
+	}
+	out, err := project(&o.rows, o.proj, o.pair)
+	return out, err == nil, err
+}
 
 // --- Nested-loop join ---
 
 // nlJoin is a block nested-loop join: the right input is materialized
-// once, the left input streams; pred (may be nil) filters the
-// concatenated tuple.
+// once, the left input streams.
 type nlJoin struct {
 	left, right rel.Iterator
-	pred        evalFunc
-	schema      types.Schema
-	rightRows   []types.Tuple
-	cur         types.Tuple
-	ri          int
+	joiner
+	rightRows []types.Tuple
+	cur       types.Tuple
+	ri        int
 }
 
-func newNLJoin(left, right rel.Iterator, pred evalFunc) *nlJoin {
-	return &nlJoin{
-		left: left, right: right, pred: pred,
-		schema: left.Schema().Concat(right.Schema()),
-	}
+func newNLJoin(left, right rel.Iterator, out joiner) *nlJoin {
+	return &nlJoin{left: left, right: right, joiner: out}
 }
 
-func (j *nlJoin) Schema() types.Schema { return j.schema }
-
+// Open opens both inputs and drains the right one; on failure it
+// closes whatever it opened.
 func (j *nlJoin) Open() error {
 	if err := j.left.Open(); err != nil {
 		return err
 	}
-	if err := j.right.Open(); err != nil {
-		return err
+	rows, err := drain(j.right, j.rightRows[:0])
+	if err != nil {
+		return errors.Join(err, j.left.Close())
 	}
-	j.rightRows = j.rightRows[:0]
-	for {
-		t, ok, err := j.right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		j.rightRows = append(j.rightRows, t)
-	}
+	j.rightRows = rows
 	j.cur = nil
 	j.ri = 0
-	return j.right.Close()
+	return nil
+}
+
+// drain opens in, appends all its rows to dst and closes it, on every
+// path.
+func drain(in rel.Iterator, dst []types.Tuple) (_ []types.Tuple, err error) {
+	if err := in.Open(); err != nil {
+		return dst, err
+	}
+	defer func() {
+		if cerr := in.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	for {
+		t, ok, err := in.Next()
+		if err != nil || !ok {
+			return dst, err
+		}
+		dst = append(dst, t)
+	}
 }
 
 func (j *nlJoin) Next() (types.Tuple, bool, error) {
@@ -318,24 +389,15 @@ func (j *nlJoin) Next() (types.Tuple, bool, error) {
 				return nil, false, err
 			}
 			j.cur = t
+			j.setLeft(t)
 			j.ri = 0
 		}
 		for j.ri < len(j.rightRows) {
 			r := j.rightRows[j.ri]
 			j.ri++
-			out := make(types.Tuple, 0, len(j.cur)+len(r))
-			out = append(out, j.cur...)
-			out = append(out, r...)
-			if j.pred != nil {
-				v, err := j.pred(out)
-				if err != nil {
-					return nil, false, err
-				}
-				if v.IsNull() || !v.AsBool() {
-					continue
-				}
+			if out, ok, err := j.emit(r); err != nil || ok {
+				return out, ok, err
 			}
-			return out, true, nil
 		}
 		j.cur = nil
 	}
@@ -348,36 +410,29 @@ func (j *nlJoin) Close() error {
 
 // --- Index nested-loop join ---
 
-// indexNLJoin probes an index on the inner table for each outer tuple.
-// The join must be an equality on outerKey = inner indexed column;
-// residual (may be nil) filters the concatenated tuple.
+// indexNLJoin probes an index on the inner table for each outer tuple,
+// reading the inner rows with the columns of the heap scan it
+// replaces. The join must be an equality on outerKey = inner indexed
+// column.
 type indexNLJoin struct {
 	outer    rel.Iterator
 	inner    *Table
-	innerQ   string // qualifier for inner schema
 	innerCol string // indexed column (unqualified)
+	keep     []int  // inner columns delivered
 	outerKey evalFunc
-	residual evalFunc
-	schema   types.Schema
+	joiner
 
 	cur     types.Tuple
 	matches []types.Tuple
 	mi      int
 }
 
-func newIndexNLJoin(outer rel.Iterator, inner *Table, innerQ, innerCol string, outerKey evalFunc, residual evalFunc) *indexNLJoin {
-	is := inner.Schema
-	if innerQ != "" {
-		is = is.Qualify(innerQ)
-	}
+func newIndexNLJoin(outer rel.Iterator, inner *heapScan, innerCol string, outerKey evalFunc, out joiner) *indexNLJoin {
 	return &indexNLJoin{
-		outer: outer, inner: inner, innerQ: innerQ, innerCol: innerCol,
-		outerKey: outerKey, residual: residual,
-		schema: outer.Schema().Concat(is),
+		outer: outer, inner: inner.table, innerCol: innerCol, keep: inner.keep,
+		outerKey: outerKey, joiner: out,
 	}
 }
-
-func (j *indexNLJoin) Schema() types.Schema { return j.schema }
 
 func (j *indexNLJoin) Open() error {
 	if j.inner.Index(j.innerCol) == nil {
@@ -396,6 +451,7 @@ func (j *indexNLJoin) Next() (types.Tuple, bool, error) {
 				return nil, false, err
 			}
 			j.cur = t
+			j.setLeft(t)
 			key, err := j.outerKey(j.cur)
 			if err != nil {
 				return nil, false, err
@@ -406,7 +462,7 @@ func (j *indexNLJoin) Next() (types.Tuple, bool, error) {
 					if !j.inner.visible(rid) {
 						continue
 					}
-					it, err := j.inner.Heap.Get(rid)
+					it, err := j.inner.Heap.Get(rid, j.keep)
 					if err != nil {
 						return nil, false, err
 					}
@@ -418,19 +474,9 @@ func (j *indexNLJoin) Next() (types.Tuple, bool, error) {
 		for j.mi < len(j.matches) {
 			r := j.matches[j.mi]
 			j.mi++
-			out := make(types.Tuple, 0, len(j.cur)+len(r))
-			out = append(out, j.cur...)
-			out = append(out, r...)
-			if j.residual != nil {
-				v, err := j.residual(out)
-				if err != nil {
-					return nil, false, err
-				}
-				if v.IsNull() || !v.AsBool() {
-					continue
-				}
+			if out, ok, err := j.emit(r); err != nil || ok {
+				return out, ok, err
 			}
-			return out, true, nil
 		}
 		j.cur = nil
 	}
@@ -441,147 +487,139 @@ func (j *indexNLJoin) Close() error { return j.outer.Close() }
 // --- Hash join ---
 
 // hashJoin builds a hash table on the right input keyed by the right
-// key expressions and probes with the left; residual (may be nil)
-// filters concatenated tuples.
+// key expressions and probes with the left. Each build row's key values
+// are kept beside it, and a probe row's keys are evaluated once, so
+// checking a bucket entry compares values without evaluating anything.
 type hashJoin struct {
 	left, right         rel.Iterator
 	leftKeys, rightKeys []evalFunc
-	residual            evalFunc
-	schema              types.Schema
+	joiner
 
-	table  map[uint64][]types.Tuple
-	cur    types.Tuple
-	bucket []types.Tuple
+	build  []types.Tuple
+	bkeys  []types.Value // len(rightKeys) values per build row
+	table  map[uint64][]int32
+	pkeys  []types.Value // the current probe row's key values
+	bucket []int32
 	bi     int
 }
 
-func newHashJoin(left, right rel.Iterator, leftKeys, rightKeys []evalFunc, residual evalFunc) *hashJoin {
+func newHashJoin(left, right rel.Iterator, leftKeys, rightKeys []evalFunc, out joiner) *hashJoin {
 	return &hashJoin{
 		left: left, right: right,
-		leftKeys: leftKeys, rightKeys: rightKeys, residual: residual,
-		schema: left.Schema().Concat(right.Schema()),
+		leftKeys: leftKeys, rightKeys: rightKeys, joiner: out,
+		pkeys: make([]types.Value, len(leftKeys)),
 	}
 }
 
-func (j *hashJoin) Schema() types.Schema { return j.schema }
-
-func hashKeys(t types.Tuple, keys []evalFunc) (uint64, bool, error) {
-	var h uint64 = 14695981039346656037
+// evalKeys appends the key values of t to dst and hashes them; valid
+// is false when a key is NULL (NULL keys never join).
+func evalKeys(t types.Tuple, keys []evalFunc, dst []types.Value) (_ []types.Value, h uint64, valid bool, _ error) {
+	h = 14695981039346656037
+	valid = true
 	for _, k := range keys {
 		v, err := k(t)
 		if err != nil {
-			return 0, false, err
+			return dst, 0, false, err
 		}
-		if v.IsNull() {
-			return 0, false, nil // NULL keys never join
-		}
+		valid = valid && !v.IsNull()
 		h = h*1099511628211 ^ v.Hash()
+		dst = append(dst, v)
 	}
-	return h, true, nil
+	return dst, h, valid, nil
 }
 
-func (j *hashJoin) Open() error {
+// Open builds the hash table from the right input, closing it on every
+// path, then opens the left input.
+func (j *hashJoin) Open() (err error) {
 	if err := j.right.Open(); err != nil {
 		return err
 	}
-	j.table = map[uint64][]types.Tuple{}
+	defer func() {
+		if cerr := j.right.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			j.bucket, j.bi = nil, 0
+			err = j.left.Open()
+		}
+	}()
+	j.table = map[uint64][]int32{}
+	j.build, j.bkeys = j.build[:0], j.bkeys[:0]
+	k := len(j.rightKeys)
 	for {
 		t, ok, err := j.right.Next()
+		if err != nil || !ok {
+			return err
+		}
+		var h uint64
+		var valid bool
+		j.bkeys, h, valid, err = evalKeys(t, j.rightKeys, j.bkeys)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			break
+		if !valid {
+			j.bkeys = j.bkeys[:len(j.bkeys)-k]
+			continue
 		}
-		h, valid, err := hashKeys(t, j.rightKeys)
-		if err != nil {
-			return err
-		}
-		if valid {
-			j.table[h] = append(j.table[h], t)
-		}
+		j.table[h] = append(j.table[h], int32(len(j.build)))
+		j.build = append(j.build, t)
 	}
-	if err := j.right.Close(); err != nil {
-		return err
-	}
-	j.cur = nil
-	return j.left.Open()
 }
 
 func (j *hashJoin) Next() (types.Tuple, bool, error) {
+	k := len(j.leftKeys)
 	for {
-		if j.cur == nil {
-			t, ok, err := j.left.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.cur = t
-			h, valid, err := hashKeys(j.cur, j.leftKeys)
-			if err != nil {
-				return nil, false, err
-			}
-			if valid {
-				j.bucket = j.table[h]
-			} else {
-				j.bucket = nil
-			}
-			j.bi = 0
-		}
 		for j.bi < len(j.bucket) {
-			r := j.bucket[j.bi]
+			b := int(j.bucket[j.bi])
 			j.bi++
 			// Verify key equality (hash collisions).
-			match := true
-			for k := range j.leftKeys {
-				lv, err := j.leftKeys[k](j.cur)
-				if err != nil {
-					return nil, false, err
-				}
-				rv, err := j.rightKeys[k](r)
-				if err != nil {
-					return nil, false, err
-				}
-				if lv.IsNull() || rv.IsNull() || !types.Equal(lv, rv) {
-					match = false
-					break
-				}
-			}
-			if !match {
+			if !keysEqual(j.pkeys, j.bkeys[b*k:(b+1)*k]) {
 				continue
 			}
-			out := make(types.Tuple, 0, len(j.cur)+len(r))
-			out = append(out, j.cur...)
-			out = append(out, r...)
-			if j.residual != nil {
-				v, err := j.residual(out)
-				if err != nil {
-					return nil, false, err
-				}
-				if v.IsNull() || !v.AsBool() {
-					continue
-				}
+			if out, ok, err := j.emit(j.build[b]); err != nil || ok {
+				return out, ok, err
 			}
-			return out, true, nil
 		}
-		j.cur = nil
+		t, ok, err := j.left.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		_, h, valid, err := evalKeys(t, j.leftKeys, j.pkeys[:0])
+		if err != nil {
+			return nil, false, err
+		}
+		j.bucket, j.bi = nil, 0
+		if valid {
+			j.bucket = j.table[h]
+			j.setLeft(t)
+		}
 	}
 }
 
+// keysEqual reports whether two key-value lists are equal, value by
+// value.
+func keysEqual(a, b []types.Value) bool {
+	for i := range a {
+		if !types.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func (j *hashJoin) Close() error {
-	j.table = nil
+	j.table, j.build, j.bkeys, j.bucket = nil, nil, nil, nil
 	return j.left.Close()
 }
 
 // --- Sort-merge join ---
 
 // mergeJoin performs a sort-merge equi-join on single key expressions
-// from each side. Inputs are materialized and sorted on their keys;
-// residual filters output tuples.
+// from each side. Inputs are materialized and sorted on their keys.
 type mergeJoin struct {
 	left, right       rel.Iterator
 	leftKey, rightKey evalFunc
-	residual          evalFunc
-	schema            types.Schema
+	joiner
 
 	lrows, rrows []types.Tuple
 	lkeys, rkeys []types.Value
@@ -591,15 +629,12 @@ type mergeJoin struct {
 	gi           int
 }
 
-func newMergeJoin(left, right rel.Iterator, leftKey, rightKey evalFunc, residual evalFunc) *mergeJoin {
+func newMergeJoin(left, right rel.Iterator, leftKey, rightKey evalFunc, out joiner) *mergeJoin {
 	return &mergeJoin{
 		left: left, right: right,
-		leftKey: leftKey, rightKey: rightKey, residual: residual,
-		schema: left.Schema().Concat(right.Schema()),
+		leftKey: leftKey, rightKey: rightKey, joiner: out,
 	}
 }
-
-func (j *mergeJoin) Schema() types.Schema { return j.schema }
 
 func materializeKeyed(in rel.Iterator, key evalFunc) (_ []types.Tuple, _ []types.Value, err error) {
 	if err := in.Open(); err != nil {
@@ -629,9 +664,12 @@ func materializeKeyed(in rel.Iterator, key evalFunc) (_ []types.Tuple, _ []types
 		rows = append(rows, t)
 		keys = append(keys, v)
 	}
-	perm := types.StableOrder(len(rows), func(a, b int) int {
-		return types.Compare(keys[a], keys[b])
-	})
+	prefix, exact := types.SortPrefixes(keys, 1, false)
+	cmp := func(a, b int) int { return types.Compare(keys[a], keys[b]) }
+	if exact {
+		cmp = nil // the prefix orders the key alone
+	}
+	perm := types.StableOrder(len(rows), prefix, cmp)
 	srows := make([]types.Tuple, len(rows))
 	skeys := make([]types.Value, len(rows))
 	for i, p := range perm {
@@ -660,22 +698,15 @@ func (j *mergeJoin) Next() (types.Tuple, bool, error) {
 	for {
 		// Emit remaining pairs for the current left row's right-run.
 		if j.gi < j.rend {
-			l := j.lrows[j.li]
+			if j.gi == j.rstart {
+				j.setLeft(j.lrows[j.li])
+			}
 			r := j.rrows[j.gi]
 			j.gi++
-			out := make(types.Tuple, 0, len(l)+len(r))
-			out = append(out, l...)
-			out = append(out, r...)
-			if j.residual != nil {
-				v, err := j.residual(out)
-				if err != nil {
-					return nil, false, err
-				}
-				if v.IsNull() || !v.AsBool() {
-					continue
-				}
+			if out, ok, err := j.emit(r); err != nil || ok {
+				return out, ok, err
 			}
-			return out, true, nil
+			continue
 		}
 		// Current left row exhausted its run; advance left.
 		if j.rstart < j.rend {
@@ -798,7 +829,10 @@ func (u *unionIter) Open() error {
 	if err := u.a.Open(); err != nil {
 		return err
 	}
-	return u.b.Open()
+	if err := u.b.Open(); err != nil {
+		return errors.Join(err, u.a.Close())
+	}
+	return nil
 }
 
 func (u *unionIter) Next() (types.Tuple, bool, error) {

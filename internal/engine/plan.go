@@ -146,8 +146,14 @@ func stripQualifiers(e sqlast.Expr) sqlast.Expr {
 	}
 }
 
-// planCore plans one SELECT block (no UNION, no ORDER BY).
+// planCore plans one SELECT block (no UNION, no ORDER BY). A block
+// over a lone derived table is merged with it first (mergeDerived);
+// base tables deliver only the columns the block references, and the
+// last join of a block without aggregation projects its output rows
+// itself.
 func (db *DB) planCore(v *catalogVersion, s *sqlast.SelectStmt) (rel.Iterator, error) {
+	s = mergeDerived(v, s)
+
 	// 1. FROM sources.
 	sources, err := db.planSources(v, s)
 	if err != nil {
@@ -178,14 +184,30 @@ func (db *DB) planCore(v *catalogVersion, s *sqlast.SelectStmt) (rel.Iterator, e
 		}
 	}
 
-	// 3. Join left-deep in FROM order.
+	hasAgg := len(s.GroupBy) > 0 || s.Having != nil
+	for _, item := range s.Items {
+		if sqlast.HasAggregate(item.Expr) {
+			hasAgg = true
+		}
+	}
+
+	// 3. Join left-deep in FROM order. The last join projects the
+	// select list when no aggregation follows and every predicate left
+	// resolves on its pair, so it becomes that join's residual.
 	it := sources[0]
 	for si := 1; si < len(sources); si++ {
-		joined, err := db.join(s.Hint, it, sources[si], conjuncts, used)
+		var items []sqlast.SelectItem
+		if si == len(sources)-1 && !hasAgg && resolvesAll(conjuncts, used, sources) {
+			items = s.Items
+		}
+		joined, err := db.join(s.Hint, it, sources[si], conjuncts, used, items)
 		if err != nil {
 			return nil, err
 		}
 		it = joined
+		if items != nil {
+			return db.distinct(s, it), nil
+		}
 	}
 
 	// 4. Remaining predicates.
@@ -203,15 +225,7 @@ func (db *DB) planCore(v *catalogVersion, s *sqlast.SelectStmt) (rel.Iterator, e
 		it = db.instrument("filter", newFilter(it, pred), it)
 	}
 
-	// 5. Aggregation.
-	hasAgg := len(s.GroupBy) > 0 || s.Having != nil
-	for _, item := range s.Items {
-		if sqlast.HasAggregate(item.Expr) {
-			hasAgg = true
-		}
-	}
-	var itemExprs []evalFunc
-	var outSchema types.Schema
+	// 5. Aggregation and projection.
 	if hasAgg {
 		grouped, gCtx, err := db.planGroup(it, s)
 		if err != nil {
@@ -226,27 +240,53 @@ func (db *DB) planCore(v *catalogVersion, s *sqlast.SelectStmt) (rel.Iterator, e
 			}
 			it = db.instrument("filter", newFilter(it, pred), it)
 		}
-		outSchema, itemExprs, err = gCtx.projectItems(s.Items)
+		outSchema, itemExprs, err := gCtx.projectItems(s.Items)
 		if err != nil {
 			return nil, err
 		}
+		it = db.instrument("project", newProject(it, outSchema, itemExprs), it)
 	} else {
-		outSchema, itemExprs, err = planProjection(s.Items, it.Schema())
+		outSchema, itemExprs, identity, err := planProjection(s.Items, it.Schema())
 		if err != nil {
 			return nil, err
 		}
+		if identity {
+			// The input already is the output, column for column: only
+			// the names change.
+			it = &renameIter{in: it, schema: outSchema}
+		} else {
+			it = db.instrument("project", newProject(it, outSchema, itemExprs), it)
+		}
 	}
-	it = db.instrument("project", newProject(it, outSchema, itemExprs), it)
+	return db.distinct(s, it), nil
+}
 
-	// 6. DISTINCT.
+// distinct applies the block's DISTINCT, if any.
+func (db *DB) distinct(s *sqlast.SelectStmt, it rel.Iterator) rel.Iterator {
 	if s.Distinct {
-		it = db.instrument("distinct", newDistinct(it), it)
+		return db.instrument("distinct", newDistinct(it), it)
 	}
-	return it, nil
+	return it
+}
+
+// resolvesAll reports whether every unused conjunct resolves on the
+// concatenation of all sources.
+func resolvesAll(conjuncts []sqlast.Expr, used []bool, sources []rel.Iterator) bool {
+	var all types.Schema
+	for _, src := range sources {
+		all = all.Concat(src.Schema())
+	}
+	for ci, c := range conjuncts {
+		if !used[ci] && !refersOnly(c, all) {
+			return false
+		}
+	}
+	return true
 }
 
 // planSources builds one iterator per FROM entry; schemas are
-// qualified by alias (or table name).
+// qualified by alias (or table name). A base table delivers only the
+// columns the block references (keptColumns).
 func (db *DB) planSources(v *catalogVersion, s *sqlast.SelectStmt) ([]rel.Iterator, error) {
 	if len(s.From) == 0 {
 		// "SELECT expr" with no FROM: one empty row.
@@ -264,7 +304,8 @@ func (db *DB) planSources(v *catalogVersion, s *sqlast.SelectStmt) ([]rel.Iterat
 			if q == "" {
 				q = r.Name
 			}
-			sources[i] = db.instrument("scan("+t.Name+")", newHeapScan(t, q))
+			keep := keptColumns(s, q, t.Schema)
+			sources[i] = db.instrument("scan("+t.Name+")", newHeapScan(t, q, keep))
 		case sqlast.Derived:
 			sub, err := db.planSelect(v, r.Select)
 			if err != nil {
@@ -364,8 +405,7 @@ func tryIndexScan(hs *heapScan, preds []sqlast.Expr) (rel.Iterator, []sqlast.Exp
 		if op == sqlast.OpGt {
 			rest = append(rest, p) // residual for exclusivity
 		}
-		q := strings.SplitN(hs.schema.Cols[0].Name, ".", 2)[0]
-		return newIndexScan(hs.table, q, cr.Name, lo, hi, hiIncl), rest, true
+		return newIndexScan(hs, cr.Name, lo, hi, hiIncl), rest, true
 	}
 	return nil, preds, false
 }
@@ -386,8 +426,10 @@ func flipOp(op sqlast.BinaryOp) sqlast.BinaryOp {
 
 // join combines the current tree with the next source, consuming
 // applicable conjuncts. The method follows the statement hint, else
-// hash join for equi-joins and block nested loop otherwise.
-func (db *DB) join(hint sqlast.JoinHint, left, right rel.Iterator, conjuncts []sqlast.Expr, used []bool) (rel.Iterator, error) {
+// hash join for equi-joins and block nested loop otherwise. items, when
+// not nil, is the block's select list, which the join then projects
+// its output rows to (see joiner).
+func (db *DB) join(hint sqlast.JoinHint, left, right rel.Iterator, conjuncts []sqlast.Expr, used []bool, items []sqlast.SelectItem) (rel.Iterator, error) {
 	combined := left.Schema().Concat(right.Schema())
 	// Applicable: unresolved so far, resolves on the combined schema.
 	var applicable []int
@@ -418,23 +460,40 @@ func (db *DB) join(hint sqlast.JoinHint, left, right rel.Iterator, conjuncts []s
 		residualIdx = append(residualIdx, ci)
 	}
 
-	compileResidual := func(idx []int) (evalFunc, error) {
-		if len(idx) == 0 {
-			return nil, nil
-		}
+	// output marks the conjuncts idx as consumed and builds the join's
+	// output stage: they become the residual over the candidate pair,
+	// and items, when set, the projection.
+	output := func(idx ...[]int) (joiner, error) {
 		var es []sqlast.Expr
-		for _, ci := range idx {
-			es = append(es, conjuncts[ci])
-		}
-		return compileExpr(sqlast.AndAll(es), combined)
-	}
-
-	markUsed := func(idx ...[]int) {
 		for _, list := range idx {
 			for _, ci := range list {
 				used[ci] = true
+				es = append(es, conjuncts[ci])
 			}
 		}
+		o := joiner{schema: combined, pair: make(types.Tuple, combined.Len()), nl: left.Schema().Len()}
+		if len(es) > 0 {
+			pred, err := compileExpr(sqlast.AndAll(es), combined)
+			if err != nil {
+				return o, err
+			}
+			o.residual = pred
+		}
+		if items != nil {
+			schema, exprs, _, err := planProjection(items, combined)
+			if err != nil {
+				return o, err
+			}
+			o.schema, o.proj = schema, exprs
+		}
+		return o, nil
+	}
+	nestedLoop := func() (rel.Iterator, error) {
+		out, err := output(applicable)
+		if err != nil {
+			return nil, err
+		}
+		return db.instrument("nljoin", newNLJoin(left, right, out), left, right), nil
 	}
 
 	switch hint {
@@ -458,99 +517,83 @@ func (db *DB) join(hint sqlast.JoinHint, left, right rel.Iterator, conjuncts []s
 						others = append(others, ci)
 					}
 				}
-				others = append(others, residualIdx...)
-				residual, err := compileResidual(others)
+				used[equiIdx[ei]] = true
+				out, err := output(others, residualIdx)
 				if err != nil {
 					return nil, err
 				}
-				markUsed(equiIdx, residualIdx)
-				q := strings.SplitN(hs.schema.Cols[0].Name, ".", 2)[0]
-				inl := newIndexNLJoin(left, hs.table, q, cr.Name, outerKey, residual)
+				inl := newIndexNLJoin(left, hs, cr.Name, outerKey, out)
 				return db.instrument("indexnljoin", inl, left), nil
 			}
 		}
-		residual, err := compileResidual(applicable)
-		if err != nil {
-			return nil, err
-		}
-		markUsed(applicable)
-		return db.instrument("nljoin", newNLJoin(left, right, residual), left, right), nil
+		return nestedLoop()
 
 	case sqlast.HintMerge:
-		if len(equis) > 0 {
-			lk, err := compileExpr(equis[0].l, left.Schema())
-			if err != nil {
-				return nil, err
-			}
-			rk, err := compileExpr(equis[0].r, right.Schema())
-			if err != nil {
-				return nil, err
-			}
-			var others []int
-			others = append(others, equiIdx[1:]...)
-			others = append(others, residualIdx...)
-			residual, err := compileResidual(others)
-			if err != nil {
-				return nil, err
-			}
-			markUsed(equiIdx, residualIdx)
-			mj := newMergeJoin(left, right, lk, rk, residual)
-			return db.instrument("mergejoin", mj, left, right), nil
+		if len(equis) == 0 {
+			return nestedLoop()
 		}
-		// No equi predicate: fall back to nested loop.
-		residual, err := compileResidual(applicable)
+		lk, err := compileExpr(equis[0].l, left.Schema())
 		if err != nil {
 			return nil, err
 		}
-		markUsed(applicable)
-		return db.instrument("nljoin", newNLJoin(left, right, residual), left, right), nil
+		rk, err := compileExpr(equis[0].r, right.Schema())
+		if err != nil {
+			return nil, err
+		}
+		used[equiIdx[0]] = true
+		out, err := output(equiIdx[1:], residualIdx)
+		if err != nil {
+			return nil, err
+		}
+		mj := newMergeJoin(left, right, lk, rk, out)
+		return db.instrument("mergejoin", mj, left, right), nil
 
 	default: // HintHash or no hint
-		if len(equis) > 0 {
-			var lks, rks []evalFunc
-			for _, e := range equis {
-				lk, err := compileExpr(e.l, left.Schema())
-				if err != nil {
-					return nil, err
-				}
-				rk, err := compileExpr(e.r, right.Schema())
-				if err != nil {
-					return nil, err
-				}
-				lks = append(lks, lk)
-				rks = append(rks, rk)
-			}
-			residual, err := compileResidual(residualIdx)
+		if len(equis) == 0 {
+			return nestedLoop()
+		}
+		var lks, rks []evalFunc
+		for _, e := range equis {
+			lk, err := compileExpr(e.l, left.Schema())
 			if err != nil {
 				return nil, err
 			}
-			markUsed(equiIdx, residualIdx)
-			hj := newHashJoin(left, right, lks, rks, residual)
-			return db.instrument("hashjoin", hj, left, right), nil
+			rk, err := compileExpr(e.r, right.Schema())
+			if err != nil {
+				return nil, err
+			}
+			lks = append(lks, lk)
+			rks = append(rks, rk)
 		}
-		residual, err := compileResidual(applicable)
+		for _, ci := range equiIdx {
+			used[ci] = true
+		}
+		out, err := output(residualIdx)
 		if err != nil {
 			return nil, err
 		}
-		markUsed(applicable)
-		return db.instrument("nljoin", newNLJoin(left, right, residual), left, right), nil
+		hj := newHashJoin(left, right, lks, rks, out)
+		return db.instrument("hashjoin", hj, left, right), nil
 	}
 }
 
 // planProjection compiles the select list without aggregation.
-func planProjection(items []sqlast.SelectItem, in types.Schema) (types.Schema, []evalFunc, error) {
+// identity reports that the list picks every input column in order,
+// so the input rows already are the output rows.
+func planProjection(items []sqlast.SelectItem, in types.Schema) (_ types.Schema, _ []evalFunc, identity bool, _ error) {
 	var cols []types.Column
 	var exprs []evalFunc
+	identity = true
+	pick := func(ci int, name string) {
+		identity = identity && ci == len(exprs)
+		cols = append(cols, types.Column{Name: name, Kind: in.Cols[ci].Kind})
+		exprs = append(exprs, func(t types.Tuple) (types.Value, error) { return t[ci], nil })
+	}
 	for i, item := range items {
 		switch x := item.Expr.(type) {
 		case sqlast.Star:
 			for ci := range in.Cols {
-				idx := ci
-				cols = append(cols, types.Column{
-					Name: unqualify(in.Cols[ci].Name),
-					Kind: in.Cols[ci].Kind,
-				})
-				exprs = append(exprs, func(t types.Tuple) (types.Value, error) { return t[idx], nil })
+				pick(ci, unqualify(in.Cols[ci].Name))
 			}
 		case sqlast.ColumnRef:
 			if x.Name == "*" {
@@ -559,36 +602,33 @@ func planProjection(items []sqlast.SelectItem, in types.Schema) (types.Schema, [
 				found := false
 				for ci := range in.Cols {
 					if strings.HasPrefix(strings.ToUpper(in.Cols[ci].Name), prefix) {
-						idx := ci
-						cols = append(cols, types.Column{
-							Name: unqualify(in.Cols[ci].Name),
-							Kind: in.Cols[ci].Kind,
-						})
-						exprs = append(exprs, func(t types.Tuple) (types.Value, error) { return t[idx], nil })
+						pick(ci, unqualify(in.Cols[ci].Name))
 						found = true
 					}
 				}
 				if !found {
-					return types.Schema{}, nil, fmt.Errorf("engine: no columns for %s.*", x.Table)
+					return types.Schema{}, nil, false, fmt.Errorf("engine: no columns for %s.*", x.Table)
 				}
 				continue
 			}
-			f, err := compileExpr(x, in)
-			if err != nil {
-				return types.Schema{}, nil, err
+			ci := in.ColumnIndex(x.String())
+			if ci < 0 {
+				_, err := compileExpr(x, in)
+				return types.Schema{}, nil, false, err
 			}
-			cols = append(cols, types.Column{Name: outputName(item, i), Kind: inferKind(x, in)})
-			exprs = append(exprs, f)
+			pick(ci, outputName(item, i))
 		default:
 			f, err := compileExpr(item.Expr, in)
 			if err != nil {
-				return types.Schema{}, nil, err
+				return types.Schema{}, nil, false, err
 			}
+			identity = false
 			cols = append(cols, types.Column{Name: outputName(item, i), Kind: inferKind(item.Expr, in)})
 			exprs = append(exprs, f)
 		}
 	}
-	return types.Schema{Cols: cols}, exprs, nil
+	identity = identity && len(exprs) == in.Len()
+	return types.Schema{Cols: cols}, exprs, identity, nil
 }
 
 func unqualify(name string) string {

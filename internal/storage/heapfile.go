@@ -81,8 +81,10 @@ func (h *HeapFile) Insert(t types.Tuple) (RecordID, error) {
 	return RecordID{Page: pid.No, Slot: int32(slot)}, nil
 }
 
-// Get reads the tuple at the given record ID.
-func (h *HeapFile) Get(rid RecordID) (types.Tuple, error) {
+// Get reads the tuple at the given record ID, keeping only the values
+// at the ascending column positions keep (nil keeps all; see
+// types.SlabDecoder).
+func (h *HeapFile) Get(rid RecordID, keep []int) (types.Tuple, error) {
 	pid := PageID{File: h.file, No: rid.Page}
 	p, ref, err := h.pool.FetchShared(pid)
 	if err != nil {
@@ -93,7 +95,7 @@ func (h *HeapFile) Get(rid RecordID) (types.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, _, err := types.DecodeTuple(rec)
+	t, _, err := types.DecodeTuple(rec, keep)
 	return t, err
 }
 
@@ -132,7 +134,7 @@ func (h *HeapFile) Scan(fn func(RecordID, types.Tuple) bool) error {
 			return err
 		}
 		rids, tuples = rids[:0], tuples[:0]
-		tuples, err = p.decodeSlots(p.NumSlots(), tuples, func(s int) {
+		tuples, err = p.decodeSlots(p.NumSlots(), nil, tuples, func(s int) {
 			rids = append(rids, RecordID{Page: pageNo, Slot: int32(s)})
 		})
 		if err != nil {
@@ -153,16 +155,19 @@ func (h *HeapFile) Scan(fn func(RecordID, types.Tuple) bool) error {
 // It lets scans stream page-at-a-time instead of materializing the
 // whole table.
 func (h *HeapFile) PageTuples(pageNo int32, dst []types.Tuple) ([]types.Tuple, error) {
-	return h.PageTuplesN(pageNo, -1, dst)
+	return h.PageTuplesN(pageNo, -1, nil, dst)
 }
 
 // PageTuplesN decodes the live tuples of one page up to (excluding)
-// slot maxSlots, appending to dst; maxSlots < 0 means every slot.
+// slot maxSlots, appending to dst; maxSlots < 0 means every slot. Each
+// tuple keeps only the values at the ascending column positions keep
+// (nil keeps all), so a scan stores and copies just the columns its
+// query reads; every record is still validated whole.
 // Snapshot scans use the slot cap to stop a tail page at the reader's
 // visibility bound. The page is read under its shared content latch.
 // The tuples share one value slab (types.SlabDecoder), so a retained
 // tuple pins its page's slab, never the pool frame.
-func (h *HeapFile) PageTuplesN(pageNo int32, maxSlots int, dst []types.Tuple) ([]types.Tuple, error) {
+func (h *HeapFile) PageTuplesN(pageNo int32, maxSlots int, keep []int, dst []types.Tuple) ([]types.Tuple, error) {
 	pid := PageID{File: h.file, No: pageNo}
 	p, ref, err := h.pool.FetchShared(pid)
 	if err != nil {
@@ -173,7 +178,7 @@ func (h *HeapFile) PageTuplesN(pageNo int32, maxSlots int, dst []types.Tuple) ([
 	if maxSlots >= 0 && maxSlots < slots {
 		slots = maxSlots
 	}
-	return p.decodeSlots(slots, dst, nil)
+	return p.decodeSlots(slots, keep, dst, nil)
 }
 
 // Bound reports the file's current visibility bound: the page count

@@ -139,11 +139,12 @@ func (p *Page) Record(slot int) ([]byte, error) {
 }
 
 // decodeSlots decodes the live records in slots [0, slots) into
-// tuples sharing one value slab, appending them to dst in slot order;
-// each, when not nil, is told every decoded record's slot.
-func (p *Page) decodeSlots(slots int, dst []types.Tuple, each func(slot int)) ([]types.Tuple, error) {
+// tuples sharing one value slab, keeping the columns keep lists (nil
+// keeps all), and appends them to dst in slot order; each, when not
+// nil, is told every decoded record's slot.
+func (p *Page) decodeSlots(slots int, keep []int, dst []types.Tuple, each func(slot int)) ([]types.Tuple, error) {
 	var d types.SlabDecoder
-	d.Reset(p.buf[:])
+	d.Reset(p.buf[:], keep)
 	live := 0
 	for s := 0; s < slots; s++ {
 		off, length := p.slotAt(s)

@@ -220,14 +220,14 @@ func TestHeapFileGetDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.Get(rid)
+	got, err := h.Get(rid, nil)
 	if err != nil || got[0].AsInt() != 7 || got[1].AsString() != "seven" {
 		t.Fatalf("Get: %v, %v", got, err)
 	}
 	if err := h.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Get(rid); err == nil {
+	if _, err := h.Get(rid, nil); err == nil {
 		t.Error("Get after Delete should fail")
 	}
 	seen := 0

@@ -28,11 +28,13 @@ func EncodeTuple(dst []byte, t Tuple) []byte {
 	return dst
 }
 
-// DecodeTuple decodes one tuple from buf, returning the tuple and the
-// number of bytes consumed. It is a SlabDecoder over a single tuple.
-func DecodeTuple(buf []byte) (Tuple, int, error) {
+// DecodeTuple decodes one tuple from buf, keeping only the values at
+// the ascending positions keep (nil keeps all; see SlabDecoder.Reset),
+// and returns it with the number of bytes consumed. It is a
+// SlabDecoder over a single tuple.
+func DecodeTuple(buf []byte, keep []int) (Tuple, int, error) {
 	var d SlabDecoder
-	d.Reset(buf)
+	d.Reset(buf, keep)
 	if _, err := d.Scan(0); err != nil {
 		return nil, 0, err
 	}
@@ -46,25 +48,44 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 // each tuple and counts its values, then Decode fills the slab, which
 // the first Decode allocates. String values are substrings of one
 // string copied from the scanned span of the source, made only when a
-// scanned tuple holds a string. A decoded tuple therefore pins its
+// scanned tuple holds a kept string. A decoded tuple therefore pins its
 // slab and that string but never the source buffer, which the caller
 // may overwrite once the last Decode returns.
+//
+// A decoder may keep only some columns (Reset's keep list): Scan still
+// validates every value, but the slab holds, and Decode returns, just
+// the kept ones, so a scan that needs few columns of a wide row neither
+// stores nor copies the rest.
 //
 // Every value costs at least one encoded byte, so the slab is bounded
 // by the source length whatever counts the encoding claims.
 type SlabDecoder struct {
 	src    []byte
-	lo, hi int  // span of src covered by scanned tuples
-	vals   int  // values counted by Scan
-	hasStr bool // a scanned tuple holds a string
+	keep   []int // ascending value positions to keep; nil keeps all
+	lo, hi int   // span of src covered by scanned tuples
+	vals   int   // values counted by Scan
+	hasStr bool  // a scanned tuple holds a kept string
 
 	slab []Value // unfilled rest of the slab; nil until the first Decode
 	str  string  // src[lo:hi], when hasStr
 }
 
-// Reset starts a new slab over src.
-func (d *SlabDecoder) Reset(src []byte) {
-	*d = SlabDecoder{src: src, lo: len(src)}
+// Reset starts a new slab over src. keep, when not nil, lists the
+// ascending value positions each decoded tuple keeps, in that order;
+// a position past a tuple's end decodes as NULL. An empty, non-nil
+// keep decodes every tuple to an empty one (COUNT(*)).
+func (d *SlabDecoder) Reset(src []byte, keep []int) {
+	*d = SlabDecoder{src: src, keep: keep, lo: len(src)}
+}
+
+// slot reports whether value position i is kept, and at which position
+// of the decoded tuple, under a keep list; *k is the caller's cursor
+// into keep, advanced past the positions before i.
+func (d *SlabDecoder) slot(i int, k *int) (int, bool) {
+	for *k < len(d.keep) && d.keep[*k] < i {
+		*k++
+	}
+	return *k, *k < len(d.keep) && d.keep[*k] == i
 }
 
 // Scan validates the tuple encoded at src[off:] and returns its
@@ -78,7 +99,8 @@ func (d *SlabDecoder) Scan(off int) (int, error) {
 	if n > uint64(len(buf)-pos) {
 		return 0, fmt.Errorf("types: truncated tuple")
 	}
-	for i := uint64(0); i < n; i++ {
+	cur := 0 // cursor into keep
+	for i := 0; i < int(n); i++ {
 		if pos >= len(buf) {
 			return 0, fmt.Errorf("types: truncated tuple")
 		}
@@ -103,12 +125,20 @@ func (d *SlabDecoder) Scan(off int) (int, error) {
 				return 0, fmt.Errorf("types: truncated string")
 			}
 			pos += k + int(l)
-			d.hasStr = true
+			if d.keep == nil {
+				d.hasStr = true
+			} else if _, ok := d.slot(i, &cur); ok {
+				d.hasStr = true
+			}
 		default:
 			return 0, fmt.Errorf("types: unknown kind %d", kind)
 		}
 	}
-	d.vals += int(n)
+	if d.keep != nil {
+		d.vals += len(d.keep)
+	} else {
+		d.vals += int(n)
+	}
 	d.lo = min(d.lo, off)
 	d.hi = max(d.hi, off+pos)
 	return pos, nil
@@ -128,27 +158,39 @@ func (d *SlabDecoder) Decode(off int) (Tuple, int) {
 	buf := d.src[off:]
 	un, pos := binary.Uvarint(buf)
 	n := int(un)
-	if n == 0 {
-		return Tuple{}, pos
+	w := n
+	if d.keep != nil {
+		w = len(d.keep)
 	}
-	t := Tuple(d.slab[:n:n])
-	d.slab = d.slab[n:]
-	for i := range t {
+	t := Tuple(d.slab[:w:w])
+	d.slab = d.slab[w:]
+	cur := 0 // cursor into keep
+	for i := 0; i < n; i++ {
 		kind := Kind(buf[pos])
 		pos++
+		j, store := i, true
+		if d.keep != nil {
+			j, store = d.slot(i, &cur)
+		}
 		switch kind {
 		case KindInt, KindDate, KindBool:
 			v, k := binary.Varint(buf[pos:])
 			pos += k
-			t[i] = Value{kind: kind, n: v}
+			if store {
+				t[j] = Value{kind: kind, n: v}
+			}
 		case KindFloat:
-			t[i] = Value{kind: KindFloat, n: int64(binary.LittleEndian.Uint64(buf[pos:]))}
+			if store {
+				t[j] = Value{kind: KindFloat, n: int64(binary.LittleEndian.Uint64(buf[pos:]))}
+			}
 			pos += 8
 		case KindString:
 			l, k := binary.Uvarint(buf[pos:])
 			pos += k
-			at := off + pos - d.lo
-			t[i] = Value{kind: KindString, s: d.str[at : at+int(l)]}
+			if store {
+				at := off + pos - d.lo
+				t[j] = Value{kind: KindString, s: d.str[at : at+int(l)]}
+			}
 			pos += int(l)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 func tuplesRoundTrip(t Tuple) bool {
 	enc := EncodeTuple(nil, t)
-	got, n, err := DecodeTuple(enc)
+	got, n, err := DecodeTuple(enc, nil)
 	if err != nil || n != len(enc) || len(got) != len(t) {
 		return false
 	}
@@ -76,11 +76,11 @@ func TestCodecStream(t *testing.T) {
 	b := Tuple{Float(2.5)}
 	buf := EncodeTuple(nil, a)
 	buf = EncodeTuple(buf, b)
-	got1, n1, err := DecodeTuple(buf)
+	got1, n1, err := DecodeTuple(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, n2, err := DecodeTuple(buf[n1:])
+	got2, n2, err := DecodeTuple(buf[n1:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCodecStream(t *testing.T) {
 func TestCodecCorruption(t *testing.T) {
 	enc := EncodeTuple(nil, Tuple{Str("hello world"), Int(42)})
 	for cut := 1; cut < len(enc); cut++ {
-		if _, _, err := DecodeTuple(enc[:cut]); err == nil {
+		if _, _, err := DecodeTuple(enc[:cut], nil); err == nil {
 			// A truncation that still parses must consume <= cut bytes —
 			// acceptable only if it decodes a full prefix; kind tags make
 			// most cuts fail. Just ensure no panic happened.
@@ -101,7 +101,7 @@ func TestCodecCorruption(t *testing.T) {
 	}
 	bad := bytes.Clone(enc)
 	bad[1] = 250 // invalid kind tag
-	if _, _, err := DecodeTuple(bad); err == nil {
+	if _, _, err := DecodeTuple(bad, nil); err == nil {
 		t.Error("invalid kind should error")
 	}
 }
@@ -128,7 +128,7 @@ func TestSlabDecoderRows(t *testing.T) {
 		src = EncodeTuple(src, r)
 	}
 	var d SlabDecoder
-	d.Reset(src)
+	d.Reset(src, nil)
 	var offs []int
 	for off := 0; off < len(src); {
 		n, err := d.Scan(off)
@@ -159,5 +159,58 @@ func TestSlabDecoderRows(t *testing.T) {
 	}
 	if _, err := d.Scan(len(src) - 1); err == nil {
 		t.Error("Scan accepted garbage")
+	}
+}
+
+func TestSlabDecoderKeepsColumns(t *testing.T) {
+	rows := []Tuple{
+		{Int(1), Str("alpha"), Float(2.5), Date(7)},
+		{Int(2), Str("beta"), Null},
+	}
+	var src []byte
+	for _, r := range rows {
+		src = EncodeTuple(src, r)
+	}
+	decode := func(keep []int) (SlabDecoder, []Tuple) {
+		var d SlabDecoder
+		d.Reset(src, keep)
+		var offs []int
+		for off := 0; off < len(src); {
+			n, err := d.Scan(off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offs = append(offs, off)
+			off += n
+		}
+		var got []Tuple
+		for _, off := range offs {
+			tu, _ := d.Decode(off)
+			got = append(got, tu)
+		}
+		return d, got
+	}
+	d, got := decode([]int{0, 3})
+	if d.hasStr || d.str != "" {
+		t.Error("no kept column is a string, yet the record area was copied")
+	}
+	want := []Tuple{{Int(1), Date(7)}, {Int(2), Null}}
+	for i := range want {
+		if len(got[i]) != 2 || cap(got[i]) != 2 || !Equal(got[i][0], want[i][0]) ||
+			got[i][1].Kind() != want[i][1].Kind() || !Equal(got[i][1], want[i][1]) {
+			t.Errorf("keep {0,3} row %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if _, got = decode([]int{1}); got[0][0].AsString() != "alpha" || got[1][0].AsString() != "beta" {
+		t.Errorf("keep {1} = %v", got)
+	}
+	if _, got = decode([]int{}); len(got) != 2 || len(got[0]) != 0 || len(got[1]) != 0 {
+		t.Errorf("keep {} = %v, want two empty tuples", got)
+	}
+	// Every value is still validated: a corrupt dropped column fails.
+	bad := EncodeTuple(nil, Tuple{Int(1), Str("x")})
+	bad[len(bad)-2] = 9 // the string's length now overruns the buffer
+	if _, _, err := DecodeTuple(bad, []int{0}); err == nil {
+		t.Error("a corrupt unkept value was accepted")
 	}
 }

@@ -1,7 +1,9 @@
 package types
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
@@ -220,28 +222,150 @@ func CompareKeys(a Tuple, ak []int, b Tuple, bk []int) int {
 
 // StableOrder returns the permutation that lists the indexes 0..n-1
 // in the order cmp (comparing items by index) sorts them; items that
-// compare equal keep their input order. It is the one stable sort of
-// the engine and the middleware operators: a pattern-defeating
-// quicksort over int32 positions with a position tiebreak, which
-// moves 4-byte indexes instead of rows and needs no reflection.
-func StableOrder(n int, cmp func(i, j int) int) []int32 {
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
+// compare equal keep their input order. prefix, when not nil, holds
+// one order-preserving key per item (SortPrefixes), and cmp runs only
+// between items whose prefixes are equal; a nil cmp means equal
+// prefixes are equal items (an exact prefix). It is the one stable
+// sort of the engine and the middleware operators. It works on
+// (prefix, int32 position) pairs, moving 16-byte keys instead of rows:
+// a stable radix sort orders them on the prefix, then a
+// pattern-defeating quicksort orders each run of equal prefixes on cmp
+// with a position tiebreak. With no prefix the whole input is one run.
+func StableOrder(n int, prefix []uint64, cmp func(i, j int) int) []int32 {
+	ks := make([]keyed, n)
+	for i := range ks {
+		ks[i].pos = int32(i)
 	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		if c := cmp(int(a), int(b)); c != 0 {
+	if prefix != nil {
+		for i := range ks {
+			ks[i].key = prefix[i]
+		}
+		ks = radixSort(ks)
+	}
+	byCmp := func(a, b keyed) int {
+		if c := cmp(int(a.pos), int(b.pos)); c != 0 {
 			return c
 		}
-		return int(a - b)
-	})
+		return int(a.pos - b.pos)
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && ks[hi].key == ks[lo].key {
+			hi++
+		}
+		if hi-lo > 1 && cmp != nil {
+			slices.SortFunc(ks[lo:hi], byCmp)
+		}
+		lo = hi
+	}
+	perm := make([]int32, n)
+	for i, k := range ks {
+		perm[i] = k.pos
+	}
 	return perm
+}
+
+// keyed is one item of StableOrder: its prefix and input position.
+type keyed struct {
+	key uint64
+	pos int32
+}
+
+// radixSort orders ks on key, stably, one byte per pass from the
+// least significant; a pass whose byte all keys share is skipped.
+func radixSort(ks []keyed) []keyed {
+	if len(ks) < 2 {
+		return ks
+	}
+	buf := make([]keyed, len(ks))
+	for shift := 0; shift < 64; shift += 8 {
+		var at [256]int
+		for _, k := range ks {
+			at[byte(k.key>>shift)]++
+		}
+		if at[byte(ks[0].key>>shift)] == len(ks) {
+			continue
+		}
+		sum := 0
+		for b, c := range at {
+			at[b] = sum
+			sum += c
+		}
+		for _, k := range ks {
+			b := byte(k.key >> shift)
+			buf[at[b]] = k
+			at[b]++
+		}
+		ks, buf = buf, ks
+	}
+	return ks
+}
+
+// SortPrefixes encodes every stride-th value of vals (vals[0],
+// vals[stride], ...) as a uint64 whose unsigned order agrees with
+// Compare: a smaller prefix means a smaller value, and equal prefixes
+// leave the order to the full comparison. Integers, dates and booleans
+// flip their sign bit, floats take the IEEE-754 order flip (-0 as 0),
+// and strings their first 8 bytes, big-endian and zero-padded; NULL is
+// 0, the lowest. desc complements every prefix. exact reports that
+// equal prefixes mean equal values: the key holds no string, and no
+// non-NULL value shares NULL's prefix 0. It returns nil, no prefix,
+// when the non-NULL values mix kinds that Compare orders across
+// (integers with floats, numbers with strings) or hold a NaN, which
+// Compare does not order.
+func SortPrefixes(vals []Value, stride int, desc bool) (prefix []uint64, exact bool) {
+	out := make([]uint64, 0, (len(vals)+stride-1)/stride)
+	class := KindNull // KindInt stands for int, date and bool
+	zero := false     // a non-NULL value has prefix 0, as NULL does
+	for i := 0; i < len(vals); i += stride {
+		v := vals[i]
+		c := v.kind
+		if c == KindDate || c == KindBool {
+			c = KindInt
+		}
+		if c != KindNull {
+			if class == KindNull {
+				class = c
+			} else if class != c {
+				return nil, false
+			}
+		}
+		var p uint64
+		switch c {
+		case KindInt:
+			p = uint64(v.n) ^ 1<<63
+		case KindFloat:
+			f := math.Float64frombits(uint64(v.n))
+			if f != f {
+				return nil, false
+			}
+			if f == 0 {
+				f = 0
+			}
+			p = math.Float64bits(f)
+			if p>>63 == 1 {
+				p = ^p
+			} else {
+				p |= 1 << 63
+			}
+		case KindString:
+			var b [8]byte
+			copy(b[:], v.s)
+			p = binary.BigEndian.Uint64(b[:])
+		}
+		zero = zero || (c != KindNull && p == 0)
+		if desc {
+			p = ^p
+		}
+		out = append(out, p)
+	}
+	return out, class != KindString && !zero
 }
 
 // SortTuples sorts ts in place by the key columns (desc[i], when
 // provided, reverses key i), stably.
 func SortTuples(ts []Tuple, keys []int, desc []bool) {
-	perm := StableOrder(len(ts), func(i, j int) int {
+	perm := StableOrder(len(ts), nil, func(i, j int) int {
 		return CompareTuples(ts[i], ts[j], keys, desc)
 	})
 	sorted := make([]Tuple, len(ts))

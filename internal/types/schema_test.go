@@ -1,6 +1,11 @@
 package types
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func testSchema() Schema {
 	return NewSchema(
@@ -152,5 +157,79 @@ func TestPeriodIntersectCommutes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStableOrderPrefixAgreesWithCompare checks that sorting on
+// SortPrefixes, with the comparator only for equal prefixes, yields
+// exactly the permutation the comparator alone yields, for every kind
+// class, with NULLs, ties, shared string prefixes, -0 and mixed kinds.
+func TestStableOrderPrefixAgreesWithCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	gens := map[string]func() Value{
+		"int":    func() Value { return Int(rng.Int63n(21) - 10) },
+		"bigint": func() Value { return Int(rng.Int63() - rng.Int63()) },
+		"date":   func() Value { return Date(rng.Int63n(50)) },
+		"bool":   func() Value { return Bool(rng.Intn(2) == 0) },
+		"float": func() Value {
+			return []Value{Float(0), Float(math.Copysign(0, -1)), Float(-1.5), Float(2.25),
+				Float(math.Inf(1)), Float(math.Inf(-1)), Float(rng.NormFloat64())}[rng.Intn(7)]
+		},
+		"string": func() Value {
+			return Str([]string{"", "a", "ab", "abcdefgh", "abcdefghi", "abcdefghj", "b", "\x00"}[rng.Intn(8)])
+		},
+		"int+float": func() Value {
+			if rng.Intn(2) == 0 {
+				return Int(rng.Int63n(5))
+			}
+			return Float(float64(rng.Intn(10)) / 2)
+		},
+		"int+string": func() Value {
+			if rng.Intn(2) == 0 {
+				return Int(rng.Int63n(5))
+			}
+			return Str([]string{"1", "3", "x"}[rng.Intn(3)])
+		},
+	}
+	for name, gen := range gens {
+		for _, desc := range []bool{false, true} {
+			vals := make([]Value, 300)
+			for i := range vals {
+				if rng.Intn(8) == 0 {
+					vals[i] = Null
+				} else {
+					vals[i] = gen()
+				}
+			}
+			cmp := func(i, j int) int {
+				return CompareTuples(vals[i:i+1], vals[j:j+1], []int{0}, []bool{desc})
+			}
+			prefix, exact := SortPrefixes(vals, 1, desc)
+			mixed := name == "int+float" || name == "int+string"
+			if mixed != (prefix == nil) {
+				t.Errorf("%s: prefix nil = %v, want %v", name, prefix == nil, mixed)
+			}
+			want := StableOrder(len(vals), nil, cmp)
+			if !slices.Equal(StableOrder(len(vals), prefix, cmp), want) {
+				t.Errorf("%s desc=%v: the prefixed order differs from the comparator's", name, desc)
+			}
+			if exact && !slices.Equal(StableOrder(len(vals), prefix, nil), want) {
+				t.Errorf("%s desc=%v: the exact prefix alone misorders", name, desc)
+			}
+			if exact && (name == "string" || mixed) {
+				t.Errorf("%s: prefix claimed exact", name)
+			}
+		}
+	}
+	if p, _ := SortPrefixes([]Value{Float(1), Float(math.NaN())}, 1, false); p != nil {
+		t.Error("a NaN key got a prefix")
+	}
+	// NULL and the least integer share prefix 0: not exact.
+	if _, exact := SortPrefixes([]Value{Null, Int(math.MinInt64)}, 1, false); exact {
+		t.Error("NULL and MinInt64 share a prefix, yet it was exact")
+	}
+	// A stride picks every k-th value: the first key of k-key rows.
+	if p, exact := SortPrefixes([]Value{Int(2), Str("x"), Int(1), Str("y")}, 2, false); len(p) != 2 || p[0] <= p[1] || !exact {
+		t.Errorf("strided prefixes = %v, exact %v", p, exact)
 	}
 }

@@ -205,7 +205,7 @@ func TestFloatInIntegerWord(t *testing.T) {
 		}
 	}
 	for _, v := range []Value{negZero, nan, Float(math.Inf(-1)), Float(1.5e-300)} {
-		got, _, err := DecodeTuple(EncodeTuple(nil, Tuple{v}))
+		got, _, err := DecodeTuple(EncodeTuple(nil, Tuple{v}), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

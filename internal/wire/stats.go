@@ -91,7 +91,7 @@ func DecodeTableStats(data []byte) (*meta.TableStats, error) {
 		if c.Name, rest, err = CutString(rest); err != nil {
 			return nil, err
 		}
-		mm, used, err := types.DecodeTuple(rest)
+		mm, used, err := types.DecodeTuple(rest, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%w: column %s min/max: %v", ErrBadFrame, key, err)
 		}

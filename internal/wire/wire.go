@@ -74,7 +74,7 @@ func DecodeBatchInto(dst []types.Tuple, data []byte) ([]types.Tuple, error) {
 		return nil, fmt.Errorf("wire: bad batch header")
 	}
 	var d types.SlabDecoder
-	d.Reset(data)
+	d.Reset(data, nil)
 	// Every row costs at least one byte, so this loop ends within
 	// len(data) rows whatever count the header claims.
 	pos := k

@@ -300,7 +300,7 @@ func (r *runReader) next() (types.Tuple, bool, error) {
 // the run) into r.rows.
 func (r *runReader) fill() error {
 	var d types.SlabDecoder
-	d.Reset(r.data)
+	d.Reset(r.data, nil)
 	end := r.pos
 	for n := 0; n < rel.DefaultBatchSize && end < len(r.data); n++ {
 		used, err := d.Scan(end)

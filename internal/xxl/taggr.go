@@ -152,7 +152,7 @@ func (a *TAggr) readGroup() ([]types.Tuple, error) {
 // arrives sorted by T1; a second copy is sorted by T2 (the paper's
 // internal sort), and the two orders are merged as event streams.
 func (a *TAggr) sweep(group []types.Tuple) []types.Tuple {
-	perm := types.StableOrder(len(group), func(i, j int) int {
+	perm := types.StableOrder(len(group), nil, func(i, j int) int {
 		return cmp.Compare(group[i][a.t2].AsInt(), group[j][a.t2].AsInt())
 	})
 	byEnd := make([]types.Tuple, len(group))
