@@ -5,7 +5,7 @@ GO ?= go
 # Fuzz smoke budget per target (ci runs each fuzzer this long).
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-fix lint-report test race fuzz chaos crash load bench-smoke bench-json perfbench ci clean
+.PHONY: all build fmt vet lint lint-fix lint-report test race fuzz chaos crash load bench-smoke bench-json perfbench ci clean
 
 # Benchmark report written by bench-json.
 BENCHOUT ?= BENCH_10.json
@@ -14,6 +14,12 @@ all: ci
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file outside testdata/ is not gofmt-clean
+# (analyzer fixtures under testdata/ keep their deliberate layouts).
+fmt:
+	@out=$$(gofmt -l $$(find . -name '*.go' -not -path '*/testdata/*')); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -46,8 +52,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz smoke-runs the parser fuzz targets, the fault-schedule, frame
-# and batch decoders and the WAL decoder for FUZZTIME each, seeded
+# fuzz smoke-runs the parser fuzz targets, the fault-schedule, frame,
+# request/reply and batch decoders and the WAL decoder for FUZZTIME each, seeded
 # from the evaluation workload. Any crasher is written to the
 # package's testdata/fuzz corpus and replays under plain `go test`.
 fuzz:
@@ -55,6 +61,7 @@ fuzz:
 	$(GO) test ./internal/tsql/ -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
 
@@ -123,13 +130,13 @@ bench-json:
 perfbench:
 	cd perfbench && $(GO) test .
 
-# ci is the full verification gate: compile everything, vet, run the
-# project analyzers (publishing lint.json), smoke the fuzz targets and
-# the benchmarks, run the test suite under the race detector (tests
-# also planck-check every plan), run the short chaos sweep under
-# -race, sweep the crash-recovery matrix under -race, and build and
-# test the repository benchmark.
-ci: build vet lint-report fuzz race chaos crash load bench-smoke perfbench
+# ci is the full verification gate: compile everything, check gofmt,
+# vet, run the project analyzers (publishing lint.json), smoke the
+# fuzz targets and the benchmarks, run the test suite under the race
+# detector (tests also planck-check every plan), run the short chaos
+# sweep under -race, sweep the crash-recovery matrix under -race, and
+# build and test the repository benchmark.
+ci: build fmt vet lint-report fuzz race chaos crash load bench-smoke perfbench
 
 clean:
 	$(GO) clean ./...

@@ -2,9 +2,11 @@
 // abstracted so the same client — iterators, retry machinery, fetch
 // pipelining, temp-table protocol — runs unchanged over the in-process
 // façade (unit tests, benchmarks) and over a real TCP socket
-// (internal/client/tcp.go). The surface is exactly the Hdr-carrying
-// server entry points the client already called, plus the session
-// lifecycle.
+// (internal/client/tcp.go). The surface is the server's …Hdr entry
+// points plus the session lifecycle. Both implementations end in the
+// same server handler: inproc calls the …Hdr methods, each of which
+// passes one wire.Request to it, and remoteConn sends that Request as
+// a frame the server decodes and passes to it.
 package client
 
 import (
@@ -56,7 +58,7 @@ type Cursor interface {
 var _ Cursor = (*server.Cursor)(nil)
 
 // inproc is the in-process backend: direct calls into the server
-// façade, exactly the pre-TCP behavior.
+// façade, with no encoding.
 type inproc struct {
 	srv *server.Server
 	se  *server.Session

@@ -14,7 +14,6 @@
 package client
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -233,7 +232,7 @@ func remoteToError(re wire.RemoteError) error {
 
 // rpcOn sends one request on an already-resolved connection and waits
 // for its reply.
-func (t *Transport) rpcOn(nc net.Conn, mt byte, session uint32, payload []byte) ([]byte, error) {
+func (t *Transport) rpcOn(nc net.Conn, session uint32, req wire.Request) (wire.Reply, error) {
 	id := t.reqID.Add(1)
 	pc := &pendingCall{ch: make(chan rpcResult, 1), nc: nc}
 	t.pmu.Lock()
@@ -241,7 +240,8 @@ func (t *Transport) rpcOn(nc net.Conn, mt byte, session uint32, payload []byte) 
 	t.pmu.Unlock()
 
 	t.wmu.Lock()
-	t.wbuf = wire.AppendFrame(t.wbuf[:0], wire.Frame{Type: mt, Session: session, Request: id, Payload: payload})
+	t.wbuf = wire.AppendFrame(t.wbuf[:0], wire.Frame{Type: req.Type, Session: session, Request: id})
+	t.wbuf = wire.SealFrame(wire.AppendRequest(t.wbuf, req), 0)
 	_, werr := nc.Write(t.wbuf)
 	t.wmu.Unlock()
 	if werr != nil {
@@ -249,19 +249,13 @@ func (t *Transport) rpcOn(nc net.Conn, mt byte, session uint32, payload []byte) 
 		delete(t.pending, id)
 		t.pmu.Unlock()
 		t.dropConn(nc, werr)
-		return nil, &ErrConnLost{Addr: t.addr, Err: werr}
+		return wire.Reply{}, &ErrConnLost{Addr: t.addr, Err: werr}
 	}
 	r := <-pc.ch
-	return r.payload, r.err
-}
-
-// rpc resolves the connection and sends one session-scoped request.
-func (t *Transport) rpc(mt byte, session uint32, payload []byte) ([]byte, error) {
-	nc, _, err := t.ensureConn()
-	if err != nil {
-		return nil, err
+	if r.err != nil {
+		return wire.Reply{}, r.err
 	}
-	return t.rpcOn(nc, mt, session, payload)
+	return wire.DecodeReply(req.Type, r.payload)
 }
 
 // Conn opens a new session over the transport and wraps it in a
@@ -280,21 +274,11 @@ func (t *Transport) openSession(own bool) (*remoteConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	reply, err := t.rpcOn(nc, wire.MsgOpenSession, 0, nil)
+	rep, err := t.rpcOn(nc, 0, wire.Request{Type: wire.MsgOpenSession})
 	if err != nil {
 		return nil, err
 	}
-	id, k := binary.Uvarint(reply)
-	if k <= 0 || len(reply[k:]) != 8 {
-		return nil, fmt.Errorf("client: malformed open-session reply")
-	}
-	return &remoteConn{
-		t:     t,
-		id:    uint32(id),
-		token: binary.BigEndian.Uint64(reply[k:]),
-		epoch: epoch,
-		own:   own,
-	}, nil
+	return &remoteConn{t: t, id: rep.Session, token: rep.Token, epoch: epoch, own: own}, nil
 }
 
 // Dial opens a single connection with its own private transport; the
@@ -325,120 +309,70 @@ type remoteConn struct {
 
 // call sends one session-scoped request, resuming the session first
 // when the transport has redialed since the session last attached.
-func (s *remoteConn) call(mt byte, payload []byte) ([]byte, error) {
+func (s *remoteConn) call(req wire.Request) (wire.Reply, error) {
 	nc, epoch, err := s.t.ensureConn()
 	if err != nil {
-		return nil, err
+		return wire.Reply{}, err
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, errors.New("client: session closed")
+		return wire.Reply{}, errors.New("client: session closed")
 	}
 	if s.epoch != epoch {
-		resume := binary.AppendUvarint(nil, uint64(s.id))
-		resume = binary.BigEndian.AppendUint64(resume, s.token)
-		if _, err := s.t.rpcOn(nc, wire.MsgResumeSession, 0, resume); err != nil {
+		resume := wire.Request{Type: wire.MsgResumeSession, Session: s.id, Token: s.token}
+		if _, err := s.t.rpcOn(nc, 0, resume); err != nil {
 			s.mu.Unlock()
-			return nil, err
+			return wire.Reply{}, err
 		}
 		s.epoch = epoch
 	}
 	s.mu.Unlock()
-	return s.t.rpcOn(nc, mt, s.id, payload)
+	return s.t.rpcOn(nc, s.id, req)
 }
 
 func (s *remoteConn) ExecHdr(hdr []byte, sql string) (int64, error) {
-	reply, err := s.call(wire.MsgExec, append(wire.AppendBytes(nil, hdr), sql...))
-	if err != nil {
-		return 0, err
-	}
-	n, k := binary.Varint(reply)
-	if k <= 0 {
-		return 0, fmt.Errorf("client: malformed exec reply")
-	}
-	return n, nil
+	rep, err := s.call(wire.Request{Type: wire.MsgExec, Hdr: hdr, SQL: sql})
+	return rep.N, err
 }
 
 func (s *remoteConn) QueryHdr(hdr []byte, sql string, prefetch int) (Cursor, error) {
-	payload := wire.AppendBytes(nil, hdr)
-	payload = binary.AppendUvarint(payload, uint64(prefetch))
-	payload = append(payload, sql...)
-	reply, err := s.call(wire.MsgQuery, payload)
+	rep, err := s.call(wire.Request{Type: wire.MsgQuery, Hdr: hdr, SQL: sql, Prefetch: prefetch})
 	if err != nil {
 		return nil, err
 	}
-	id, k := binary.Uvarint(reply)
-	if k <= 0 {
-		return nil, fmt.Errorf("client: malformed query reply")
-	}
-	schema, _, err := wire.DecodeSchema(reply[k:])
-	if err != nil {
-		return nil, err
-	}
-	return &remoteCursor{s: s, id: id, schema: schema}, nil
+	return &remoteCursor{s: s, id: rep.Cursor, schema: rep.Schema}, nil
 }
 
 func (s *remoteConn) LoadSeqHdr(hdr []byte, table string, payload []byte, seq int64) (int64, error) {
-	req := wire.AppendBytes(nil, hdr)
-	req = binary.AppendVarint(req, seq)
-	req = wire.AppendString(req, table)
-	req = append(req, payload...)
-	reply, err := s.call(wire.MsgLoad, req)
-	if err != nil {
-		return 0, err
-	}
-	n, k := binary.Varint(reply)
-	if k <= 0 {
-		return 0, fmt.Errorf("client: malformed load reply")
-	}
-	return n, nil
+	rep, err := s.call(wire.Request{Type: wire.MsgLoad, Hdr: hdr, Table: table, Payload: payload, Seq: seq})
+	return rep.N, err
 }
 
 func (s *remoteConn) InsertRowsHdr(hdr []byte, table string, payload []byte) (int64, error) {
-	req := wire.AppendBytes(nil, hdr)
-	req = wire.AppendString(req, table)
-	req = append(req, payload...)
-	reply, err := s.call(wire.MsgInsert, req)
-	if err != nil {
-		return 0, err
-	}
-	n, k := binary.Varint(reply)
-	if k <= 0 {
-		return 0, fmt.Errorf("client: malformed insert reply")
-	}
-	return n, nil
+	rep, err := s.call(wire.Request{Type: wire.MsgInsert, Hdr: hdr, Table: table, Payload: payload})
+	return rep.N, err
 }
 
 func (s *remoteConn) TableStatsHdr(hdr []byte, table string, histogramBuckets int) (*meta.TableStats, error) {
-	req := wire.AppendBytes(nil, hdr)
-	req = binary.AppendVarint(req, int64(histogramBuckets))
-	req = append(req, table...)
-	reply, err := s.call(wire.MsgStats, req)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeTableStats(reply)
+	rep, err := s.call(wire.Request{Type: wire.MsgStats, Hdr: hdr, Table: table, Buckets: histogramBuckets})
+	return rep.Stats, err
 }
 
 func (s *remoteConn) TableSchema(table string) (types.Schema, error) {
-	reply, err := s.call(wire.MsgSchema, []byte(table))
-	if err != nil {
-		return types.Schema{}, err
-	}
-	schema, _, err := wire.DecodeSchema(reply)
-	return schema, err
+	rep, err := s.call(wire.Request{Type: wire.MsgSchema, Table: table})
+	return rep.Schema, err
 }
 
 // RegisterTemp and ForgetTemp maintain the server-side GC set; the
 // interface is fire-and-forget, so transport failures fall through to
 // the reaper (an unresumed session GCs its temps anyway).
 func (s *remoteConn) RegisterTemp(name string) {
-	_, _ = s.call(wire.MsgRegisterTemp, []byte(name))
+	_, _ = s.call(wire.Request{Type: wire.MsgRegisterTemp, Table: name})
 }
 
 func (s *remoteConn) ForgetTemp(name string) {
-	_, _ = s.call(wire.MsgForgetTemp, []byte(name))
+	_, _ = s.call(wire.Request{Type: wire.MsgForgetTemp, Table: name})
 }
 
 func (s *remoteConn) SessionID() int64 { return int64(s.id) }
@@ -448,21 +382,14 @@ func (s *remoteConn) SessionID() int64 { return int64(s.id) }
 func (s *remoteConn) TakeRemoteSpans(uint64) []*telemetry.Span { return nil }
 
 func (s *remoteConn) Close() (int, error) {
-	reply, err := s.call(wire.MsgCloseSession, nil)
+	rep, err := s.call(wire.Request{Type: wire.MsgCloseSession})
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	if s.own {
 		defer func() { _ = s.t.Close() }()
 	}
-	if err != nil {
-		return 0, err
-	}
-	collected, k := binary.Uvarint(reply)
-	if k <= 0 {
-		return 0, fmt.Errorf("client: malformed close reply")
-	}
-	return int(collected), nil
+	return int(rep.N), err
 }
 
 // remoteCursor is one open server cursor over TCP.
@@ -477,22 +404,14 @@ type remoteCursor struct {
 
 func (c *remoteCursor) Schema() types.Schema { return c.schema }
 
-// fetch performs one sequence-numbered FETCH round trip.
+// fetch performs one sequence-numbered FETCH round trip, copying the
+// batch into dst (nil at end of stream).
 func (c *remoteCursor) fetch(hdr []byte, seq int64, dst []byte) ([]byte, error) {
-	req := wire.AppendBytes(nil, hdr)
-	req = binary.AppendUvarint(req, c.id)
-	req = binary.AppendVarint(req, seq)
-	reply, err := c.s.call(wire.MsgFetch, req)
-	if err != nil {
+	rep, err := c.s.call(wire.Request{Type: wire.MsgFetch, Hdr: hdr, Cursor: c.id, Seq: seq})
+	if err != nil || rep.Batch == nil {
 		return nil, err
 	}
-	if len(reply) < 1 {
-		return nil, fmt.Errorf("client: malformed fetch reply")
-	}
-	if reply[0] == 0 {
-		return nil, nil // end of stream
-	}
-	return append(dst[:0], reply[1:]...), nil
+	return append(dst[:0], rep.Batch...), nil
 }
 
 // FetchBatchHdr is the seq-less path: the cursor numbers its own
@@ -523,6 +442,6 @@ func (c *remoteCursor) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	_, err := c.s.call(wire.MsgCloseCursor, binary.AppendUvarint(nil, c.id))
+	_, err := c.s.call(wire.Request{Type: wire.MsgCloseCursor, Cursor: c.id})
 	return err
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func tcpServer(t *testing.T, rows int, cfg server.TCPConfig) *server.TCPServer {
 	t.Helper()
 	db := engine.Open(engine.Config{})
 	srv := server.New(db, wire.Latency{})
-	if _, err := srv.Exec("CREATE TABLE POSITION (PosID INTEGER, EmpName VARCHAR(40), T1 INTEGER, T2 INTEGER)"); err != nil {
+	if _, err := srv.ExecHdr(nil, "CREATE TABLE POSITION (PosID INTEGER, EmpName VARCHAR(40), T1 INTEGER, T2 INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
 	se := srv.NewSession()
@@ -374,5 +375,36 @@ func TestTCPOverloadShedAndRetry(t *testing.T) {
 	})
 	if got := srv.InFlight(); got != 0 {
 		t.Fatalf("InFlight = %d after teardown", got)
+	}
+}
+
+// TestTCPQueryPrefetchTooLarge: a query asking for more rows per batch
+// than wire.MaxPrefetch is refused with a typed error instead of sizing
+// a batch buffer from the request, and the server goes on answering.
+func TestTCPQueryPrefetchTooLarge(t *testing.T) {
+	ts := tcpServer(t, 20, server.TCPConfig{})
+	defer leakCheck(t)()
+	c, err := Dial(ts.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Prefetch = 1 << 60
+	_, _, err = c.QueryAll("SELECT PosID FROM POSITION")
+	if err == nil || !strings.Contains(err.Error(), "prefetch") {
+		t.Fatalf("prefetch 1<<60 answered %v, want a prefetch error", err)
+	}
+	c.Prefetch = wire.MaxPrefetch
+	out, _, err := c.QueryAll("SELECT PosID FROM POSITION")
+	if err != nil {
+		t.Fatalf("next query: %v", err)
+	}
+	if out.Cardinality() != 20 {
+		t.Fatalf("next query: %d rows, want 20", out.Cardinality())
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := ts.Server().OpenCursors(); n != 0 {
+		t.Fatalf("%d open cursors", n)
 	}
 }

@@ -21,11 +21,11 @@ func TestAdmissionDeterministicShed(t *testing.T) {
 	s.SetAdmission(AdmissionConfig{MaxInFlight: 2, MaxQueue: 0, RetryAfter: time.Millisecond})
 
 	// Fill capacity: two open cursors hold both in-flight units.
-	c1, err := s.Query("SELECT K FROM T", 2)
+	c1, err := s.QueryHdr(nil, "SELECT K FROM T", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := s.Query("SELECT V FROM T", 2)
+	c2, err := s.QueryHdr(nil, "SELECT V FROM T", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestAdmissionDeterministicShed(t *testing.T) {
 	// Everything past capacity is shed, exactly and typed.
 	const excess = 5
 	for i := 0; i < excess; i++ {
-		_, err := s.Query("SELECT K FROM T", 2)
+		_, err := s.QueryHdr(nil, "SELECT K FROM T", 2)
 		var ov *ErrOverloaded
 		if !errors.As(err, &ov) {
 			t.Fatalf("offer %d: got %v, want ErrOverloaded", i, err)
@@ -49,7 +49,7 @@ func TestAdmissionDeterministicShed(t *testing.T) {
 		}
 	}
 	// Exec statements are gated by the same controller.
-	if _, err := s.Exec("INSERT INTO T VALUES (9,'z')"); err == nil {
+	if _, err := s.ExecHdr(nil, "INSERT INTO T VALUES (9,'z')"); err == nil {
 		t.Fatal("Exec admitted past capacity")
 	}
 	if got := s.Shed(); got != excess+1 {
@@ -66,7 +66,7 @@ func TestAdmissionDeterministicShed(t *testing.T) {
 	if got := s.InFlight(); got != 1 {
 		t.Fatalf("InFlight after close = %d, want 1", got)
 	}
-	c3, err := s.Query("SELECT K FROM T", 2)
+	c3, err := s.QueryHdr(nil, "SELECT K FROM T", 2)
 	if err != nil {
 		t.Fatalf("query after capacity freed: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestAdmissionQueueWait(t *testing.T) {
 	s := testServer(t)
 	s.SetAdmission(AdmissionConfig{MaxInFlight: 1, MaxQueue: 1, QueueWait: 50 * time.Millisecond})
 
-	cur, err := s.Query("SELECT K FROM T", 2)
+	cur, err := s.QueryHdr(nil, "SELECT K FROM T", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestAdmissionQueueWait(t *testing.T) {
 	queuedErr := make(chan error, 1)
 	go func() {
 		defer wg.Done()
-		_, err := s.Exec("INSERT INTO T VALUES (7,'g')")
+		_, err := s.ExecHdr(nil, "INSERT INTO T VALUES (7,'g')")
 		queuedErr <- err
 	}()
 	// Wait until the statement is actually queued, then free the unit.
@@ -114,11 +114,11 @@ func TestAdmissionQueueWait(t *testing.T) {
 	}
 
 	// A statement that waits out the bound sheds typed.
-	cur2, err := s.Query("SELECT K FROM T", 2)
+	cur2, err := s.QueryHdr(nil, "SELECT K FROM T", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Exec("INSERT INTO T VALUES (8,'h')")
+	_, err = s.ExecHdr(nil, "INSERT INTO T VALUES (8,'h')")
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) || ov.Reason != "queue-wait" {
 		t.Fatalf("got %v, want ErrOverloaded(queue-wait)", err)
@@ -134,11 +134,11 @@ func TestAdmissionMetricsExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s.RegisterMetrics(reg)
 
-	cur, err := s.Query("SELECT K FROM T", 2)
+	cur, err := s.QueryHdr(nil, "SELECT K FROM T", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Query("SELECT V FROM T", 2); err == nil {
+	if _, err := s.QueryHdr(nil, "SELECT V FROM T", 2); err == nil {
 		t.Fatal("second query admitted past capacity")
 	}
 	s.CountConnection()
@@ -172,14 +172,14 @@ func TestDrainRejectsTyped(t *testing.T) {
 	s := testServer(t)
 	s.SetAdmission(AdmissionConfig{MaxInFlight: 4})
 	s.StartDrain()
-	if _, err := s.Exec("INSERT INTO T VALUES (6,'f')"); !errors.Is(err, ErrShutdown) {
+	if _, err := s.ExecHdr(nil, "INSERT INTO T VALUES (6,'f')"); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("got %v, want ErrShutdown", err)
 	}
-	if _, err := s.Query("SELECT K FROM T", 2); !errors.Is(err, ErrShutdown) {
+	if _, err := s.QueryHdr(nil, "SELECT K FROM T", 2); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("got %v, want ErrShutdown", err)
 	}
 	s.EndDrain()
-	cur, err := s.Query("SELECT K FROM T", 2)
+	cur, err := s.QueryHdr(nil, "SELECT K FROM T", 2)
 	if err != nil {
 		t.Fatalf("query after EndDrain: %v", err)
 	}

@@ -173,30 +173,160 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 	s.db.SetMetrics(reg)
 }
 
-// Exec runs a non-SELECT statement. Exec is not idempotent in
+// The DBMS entry points. Each packs its arguments into a wire.Request
+// for handle, the one request path the TCP transport also takes.
+
+// ExecHdr runs a non-SELECT statement. It is not idempotent in
 // general; the client only retries statements it knows are (DROP IF
 // EXISTS, and CREATE TABLE under its drop-and-recreate protocol).
-func (s *Server) Exec(sql string) (int64, error) {
-	release, err := s.admit(s.ctx())
-	if err != nil {
-		return 0, err
+func (s *Server) ExecHdr(hdr []byte, sql string) (int64, error) {
+	rep, _, err := s.handle(wire.Request{Type: wire.MsgExec, Hdr: hdr, SQL: sql}, nil)
+	return rep.N, err
+}
+
+// QueryHdr plans and opens a SELECT, returning a cursor that ships
+// rows in serialized batches of up to prefetch rows.
+func (s *Server) QueryHdr(hdr []byte, sql string, prefetch int) (*Cursor, error) {
+	_, cur, err := s.handle(wire.Request{Type: wire.MsgQuery, Hdr: hdr, SQL: sql, Prefetch: prefetch}, nil)
+	return cur, err
+}
+
+// LoadSeqHdr is the direct-path bulk loader (the paper's SQL*Loader):
+// the payload is a serialized batch ("data file") appended to an
+// existing table with pages filled to capacity. A load repeating the
+// table's last nonzero seq is a duplicate delivery (the previous reply
+// was lost) and is answered from the mark without re-applying.
+func (s *Server) LoadSeqHdr(hdr []byte, table string, payload []byte, seq int64) (int64, error) {
+	rep, _, err := s.handle(wire.Request{Type: wire.MsgLoad, Hdr: hdr, Table: table, Payload: payload, Seq: seq}, nil)
+	return rep.N, err
+}
+
+// InsertRowsHdr is the conventional-path alternative to the loader:
+// one INSERT per row, for the bulk-load ablation experiment. Not
+// idempotent — the client must not retry it.
+func (s *Server) InsertRowsHdr(hdr []byte, table string, payload []byte) (int64, error) {
+	rep, _, err := s.handle(wire.Request{Type: wire.MsgInsert, Hdr: hdr, Table: table, Payload: payload}, nil)
+	return rep.N, err
+}
+
+// TableStatsHdr returns catalog statistics, computing them (ANALYZE)
+// with histogramBuckets if absent.
+func (s *Server) TableStatsHdr(hdr []byte, table string, histogramBuckets int) (*meta.TableStats, error) {
+	rep, _, err := s.handle(wire.Request{Type: wire.MsgStats, Hdr: hdr, Table: table, Buckets: histogramBuckets}, nil)
+	return rep.Stats, err
+}
+
+// partialEffect is what a partial fault does to an op.
+type partialEffect uint8
+
+const (
+	// partialNothing: nothing happens, as under a drop. Nothing was
+	// opened or applied, so the op is trivially retryable.
+	partialNothing partialEffect = iota
+	// partialLosesAck: the op applies, then its acknowledgment is lost.
+	partialLosesAck
+	// partialCorrupts: the reply arrives truncated; the client's decode
+	// fails and its retry replays the same sequence number.
+	partialCorrupts
+)
+
+// partialEffects is the per-op fault table. A drop always means
+// nothing happens; ops missing here do nothing under partial either.
+var partialEffects = map[wire.Op]partialEffect{
+	wire.OpExec:  partialLosesAck,
+	wire.OpLoad:  partialLosesAck, // the retry hits the load's seq mark
+	wire.OpFetch: partialCorrupts,
+}
+
+// handle serves one DBMS request for either transport, and alone does
+// what every op shares: the dbms.<op> span, admission, the fault
+// decision and the latency charge. Every op but Fetch holds an
+// admission unit; a Query keeps it until its cursor closes (an open
+// statement is live work: its snapshot, its replayable batch), and a
+// Fetch runs under it. A request pays for its inbound bytes before it
+// runs; a Fetch pays for the batch it returns, or when pipelined hands
+// the delay back in Reply.Delay. cur is the cursor a Fetch addresses;
+// a Query returns the cursor it opened.
+func (s *Server) handle(req wire.Request, cur *Cursor) (rep wire.Reply, opened *Cursor, err error) {
+	op, ok := wire.MsgOp(req.Type)
+	if !ok || (op == wire.OpFetch) != (cur != nil) {
+		return rep, nil, fmt.Errorf("server: no handler for %s", wire.MsgName(req.Type))
 	}
-	defer release()
-	if d := s.decide(wire.OpExec); d.Kind == wire.KindDrop {
-		return 0, d.Error(wire.OpExec)
-	} else if d.Kind == wire.KindPartial {
-		// The statement executes but the acknowledgment is lost.
-		n, err := s.exec(sql)
-		if err != nil {
-			return n, err
+	sp := s.beginOp(op.String(), req.Hdr)
+	defer func() {
+		switch op {
+		case wire.OpFetch:
+			sp.SetInt("seq", req.Seq)
+			sp.SetInt("bytes", int64(len(rep.Batch)))
+		case wire.OpLoad:
+			sp.SetInt("bytes", int64(len(req.Payload)))
+			sp.SetInt("rows", rep.N)
+		case wire.OpInsert:
+			sp.SetInt("rows", rep.N)
 		}
-		return 0, d.Error(wire.OpExec)
+		s.endOp(sp, err)
+	}()
+	if req.Prefetch > wire.MaxPrefetch {
+		return rep, nil, &wire.PrefetchError{Prefetch: uint64(req.Prefetch)}
 	}
-	return s.exec(sql)
+	release := func() {}
+	if op != wire.OpFetch {
+		if release, err = s.admit(s.ctx()); err != nil {
+			return rep, nil, err
+		}
+	}
+	defer func() {
+		if opened == nil {
+			release()
+		}
+	}()
+	if cur != nil {
+		// Fetches of one cursor serialize, fault decision included: an
+		// abandoned stalled call may race its retry.
+		cur.mu.Lock()
+		defer cur.mu.Unlock()
+	}
+	d, effect := s.decide(op), partialEffects[op]
+	if d.Kind == wire.KindDrop || d.Kind == wire.KindPartial && effect == partialNothing {
+		return rep, nil, d.Error(op)
+	}
+	if op == wire.OpStats {
+		s.lat.ChargeCtx(s.ctx(), len(req.Table))
+	} else if op != wire.OpFetch {
+		s.lat.ChargeCtx(s.ctx(), len(req.SQL)+len(req.Payload))
+	}
+	switch op {
+	case wire.OpExec:
+		rep.N, err = s.exec(req.SQL)
+	case wire.OpQuery:
+		opened, err = s.query(req.SQL, req.Prefetch, release)
+	case wire.OpFetch:
+		rep.Batch, err = cur.fetch(req.Seq, req.Payload)
+		switch {
+		case rep.Batch == nil: // end of stream (or an error) is not charged
+		case req.Pipelined:
+			rep.Delay = s.lat.Wire(len(rep.Batch))
+		default:
+			s.lat.ChargeCtx(s.ctx(), len(rep.Batch))
+		}
+	case wire.OpLoad:
+		rep.N, err = s.load(req.Table, req.Payload, req.Seq)
+	case wire.OpInsert:
+		rep.N, err = s.insert(req.Table, req.Payload)
+	case wire.OpStats:
+		rep.Stats, err = s.stats(req.Table, req.Buckets)
+	}
+	switch {
+	case err != nil || d.Kind != wire.KindPartial:
+		return rep, opened, err
+	case effect == partialCorrupts:
+		rep.Batch = wire.Corrupt(rep.Batch)
+		return rep, opened, nil
+	}
+	return wire.Reply{}, nil, d.Error(op)
 }
 
 func (s *Server) exec(sql string) (int64, error) {
-	s.lat.ChargeCtx(s.ctx(), len(sql))
 	if name, ok := strings.CutPrefix(sql, "DROP TABLE IF EXISTS "); ok {
 		// The table's identity ends with the drop: a later temp table
 		// reusing the name must not inherit its load-dedup mark.
@@ -205,25 +335,12 @@ func (s *Server) exec(sql string) (int64, error) {
 	return s.db.Exec(sql)
 }
 
-// Query plans and opens a SELECT, returning a cursor that ships rows
-// in serialized batches.
-func (s *Server) Query(sql string, prefetch int) (*Cursor, error) {
+// query opens a cursor that owns release, the statement's admission
+// unit, until it closes.
+func (s *Server) query(sql string, prefetch int, release func()) (*Cursor, error) {
 	if prefetch <= 0 {
 		prefetch = wire.DefaultPrefetch
 	}
-	// An open statement is live work (its snapshot, its replayable
-	// batch): the admission unit is held until the cursor closes.
-	release, err := s.admit(s.ctx())
-	if err != nil {
-		return nil, err
-	}
-	if d := s.decide(wire.OpQuery); d.Kind == wire.KindDrop || d.Kind == wire.KindPartial {
-		// Both directions of loss look the same to the client, and the
-		// server opens nothing, so OPEN is trivially retryable.
-		release()
-		return nil, d.Error(wire.OpQuery)
-	}
-	s.lat.ChargeCtx(s.ctx(), len(sql))
 	// Statement → snapshot binding: the cursor pins the commit sequence
 	// current at open, so its batches stream one consistent state no
 	// matter what other sessions commit or load meanwhile. The pin is
@@ -232,13 +349,11 @@ func (s *Server) Query(sql string, prefetch int) (*Cursor, error) {
 	it, err := snap.Query(sql)
 	if err != nil {
 		snap.Release()
-		release()
 		return nil, err
 	}
 	if err := it.Open(); err != nil {
 		_ = it.Close()
 		snap.Release()
-		release()
 		return nil, err
 	}
 	atomic.AddInt64(&s.queries, 1)
@@ -313,18 +428,9 @@ func (c *Cursor) produce() ([]types.Tuple, error) {
 }
 
 // fetch produces or replays the batch with the given 1-based sequence
-// number, encoding it into dst. seq == 0 means "the next batch". A
-// nil payload signals end of stream. When charge is set the wire
-// delay is slept here; otherwise it is returned for the pipelined
-// client to overlap.
-func (c *Cursor) fetch(seq int64, dst []byte, charge bool) ([]byte, time.Duration, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := c.srv.decide(wire.OpFetch)
-	if d.Kind == wire.KindDrop {
-		// Request lost: no work happens.
-		return nil, 0, d.Error(wire.OpFetch)
-	}
+// number, encoding it into dst[:0]. seq == 0 means "the next batch". A
+// nil payload signals end of stream. Caller holds c.mu.
+func (c *Cursor) fetch(seq int64, dst []byte) ([]byte, error) {
 	if seq == 0 {
 		seq = c.seq + 1
 	}
@@ -334,79 +440,52 @@ func (c *Cursor) fetch(seq int64, dst []byte, charge bool) ([]byte, time.Duratio
 		var err error
 		rows, err = c.produce()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if rows == nil {
 			// End of stream is idempotent: the sequence number does not
 			// advance, and a lost EOS reply is re-answered with EOS.
-			return nil, 0, nil
+			return nil, nil
 		}
 		c.seq = seq
 	case seq == c.seq && c.seq > 0:
 		// Replay: the previous reply was lost or corrupted in flight.
 		rows = c.rows
 	default:
-		return nil, 0, fmt.Errorf("server: cursor out of sync: asked batch %d, at %d", seq, c.seq)
+		return nil, fmt.Errorf("server: cursor out of sync: asked batch %d, at %d", seq, c.seq)
 	}
-	payload := wire.EncodeBatch(dst[:0], rows)
-	var delay time.Duration
-	if charge {
-		c.srv.lat.ChargeCtx(c.srv.ctx(), len(payload))
-	} else {
-		delay = c.srv.lat.Wire(len(payload))
-	}
-	if d.Kind == wire.KindPartial {
-		// The batch was produced (the sequence number advanced) but the
-		// reply arrives truncated; the client's decode fails and its
-		// retry replays the same sequence number.
-		payload = wire.Corrupt(payload)
-	}
-	return payload, delay, nil
+	return wire.EncodeBatch(dst[:0], rows), nil
 }
 
-// FetchBatch produces the next serialized batch of up to prefetch
-// rows. It returns nil when the result is exhausted. The returned
-// slice is only valid until the next call.
-func (c *Cursor) FetchBatch() ([]byte, error) {
+// FetchBatchHdr produces the next serialized batch of up to prefetch
+// rows into a pooled buffer. It returns nil when the result is
+// exhausted. The returned slice is only valid until the next call.
+func (c *Cursor) FetchBatchHdr(hdr []byte) ([]byte, error) {
 	if c.buf == nil {
 		c.buf = wire.GetBuf()
 	}
-	payload, _, err := c.fetch(0, c.buf, true)
-	return payload, err
+	rep, _, err := c.srv.handle(wire.Request{Type: wire.MsgFetch, Hdr: hdr, Payload: c.buf}, c)
+	return rep.Batch, err
 }
 
-// FetchBatchSeq is FetchBatch with an explicit statement sequence
-// number and a caller-owned buffer: asking for the current sequence
-// number replays the last batch (idempotent retry after a lost or
-// corrupted reply); asking for the next one produces it.
-func (c *Cursor) FetchBatchSeq(seq int64, dst []byte) ([]byte, error) {
-	payload, _, err := c.fetch(seq, dst, true)
-	return payload, err
+// FetchBatchSeqHdr fetches with an explicit statement sequence number
+// into a caller-owned buffer: asking for the current sequence number
+// replays the last batch (idempotent retry after a lost or corrupted
+// reply); asking for the next one produces it.
+func (c *Cursor) FetchBatchSeqHdr(hdr []byte, seq int64, dst []byte) ([]byte, error) {
+	rep, _, err := c.srv.handle(wire.Request{Type: wire.MsgFetch, Hdr: hdr, Seq: seq, Payload: dst}, c)
+	return rep.Batch, err
 }
 
-// FetchBatchPipelined is FetchBatch for windowed clients. It encodes
-// the next batch into dst (caller-owned, so several replies can be in
-// flight at once) and returns the reply's wire delay instead of
-// sleeping it: batch production stays serial — the cursor is a serial
-// stream — but the caller charges each reply's propagation in its own
-// goroutine, overlapping consecutive round trips exactly as a
-// pipelined wire protocol with several outstanding FETCH requests
-// does. A nil payload means end of stream.
-func (c *Cursor) FetchBatchPipelined(dst []byte) ([]byte, time.Duration, error) {
-	return c.fetch(0, dst, false)
-}
-
-// FetchBatchPipelinedSeq is FetchBatchPipelined with an explicit
-// sequence number, for retrying windowed clients.
-func (c *Cursor) FetchBatchPipelinedSeq(seq int64, dst []byte) ([]byte, time.Duration, error) {
-	return c.fetch(seq, dst, false)
-}
-
-// Seq returns the sequence number of the last produced batch.
-func (c *Cursor) Seq() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seq
+// FetchBatchPipelinedSeqHdr is FetchBatchSeqHdr for windowed clients:
+// it returns the reply's wire delay instead of sleeping it. Batch
+// production stays serial — the cursor is a serial stream — but the
+// caller charges each reply's propagation in its own goroutine,
+// overlapping consecutive round trips exactly as a pipelined wire
+// protocol with several outstanding FETCH requests does.
+func (c *Cursor) FetchBatchPipelinedSeqHdr(hdr []byte, seq int64, dst []byte) ([]byte, time.Duration, error) {
+	rep, _, err := c.srv.handle(wire.Request{Type: wire.MsgFetch, Hdr: hdr, Seq: seq, Payload: dst, Pipelined: true}, c)
+	return rep.Batch, rep.Delay, err
 }
 
 // Close releases the cursor and returns its pooled encode buffer. The
@@ -433,37 +512,13 @@ func (c *Cursor) Close() error {
 	return err
 }
 
-// Load is the direct-path bulk loader (the paper's SQL*Loader): the
-// payload is a serialized batch ("data file") appended to an existing
-// table with pages filled to capacity. Load without a sequence number
-// is not deduplicated; retrying callers use LoadSeq.
-func (s *Server) Load(table string, payload []byte) (int64, error) {
-	return s.LoadSeq(table, payload, 0)
-}
-
-// LoadSeq is Load with a statement sequence number: if the table's
-// last applied load carried the same nonzero seq, the load is a
-// duplicate delivery (the previous reply was lost) and is answered
-// from the mark without re-applying.
-func (s *Server) LoadSeq(table string, payload []byte, seq int64) (int64, error) {
-	release, aerr := s.admit(s.ctx())
-	if aerr != nil {
-		return 0, aerr
-	}
-	defer release()
-	d := s.decide(wire.OpLoad)
-	if d.Kind == wire.KindDrop {
-		return 0, d.Error(wire.OpLoad)
-	}
-	s.lat.ChargeCtx(s.ctx(), len(payload))
+// load applies one bulk load, deduplicated by a nonzero seq.
+func (s *Server) load(table string, payload []byte, seq int64) (int64, error) {
 	if seq != 0 {
 		s.mu.Lock()
 		mark, ok := s.loadSeqs[table]
 		s.mu.Unlock()
 		if ok && mark.seq == seq {
-			if d.Kind == wire.KindPartial {
-				return 0, d.Error(wire.OpLoad)
-			}
 			return mark.rows, nil
 		}
 	}
@@ -483,26 +538,11 @@ func (s *Server) LoadSeq(table string, payload []byte, seq int64) (int64, error)
 		s.loadSeqs[table] = loadMark{seq: seq, rows: int64(len(rows))}
 		s.mu.Unlock()
 	}
-	if d.Kind == wire.KindPartial {
-		// Applied, acknowledgment lost: the retry hits the seq mark.
-		return 0, d.Error(wire.OpLoad)
-	}
 	return int64(len(rows)), nil
 }
 
-// InsertRows is the conventional-path alternative to Load: one INSERT
-// per row. Provided for the bulk-load ablation experiment. Not
-// idempotent — the client must not retry it.
-func (s *Server) InsertRows(table string, payload []byte) (int64, error) {
-	release, aerr := s.admit(s.ctx())
-	if aerr != nil {
-		return 0, aerr
-	}
-	defer release()
-	if d := s.decide(wire.OpInsert); d.Kind == wire.KindDrop || d.Kind == wire.KindPartial {
-		return 0, d.Error(wire.OpInsert)
-	}
-	s.lat.ChargeCtx(s.ctx(), len(payload))
+// insert applies a batch one INSERT at a time.
+func (s *Server) insert(table string, payload []byte) (int64, error) {
 	rows, err := wire.DecodeBatch(payload)
 	if err != nil {
 		return 0, err
@@ -518,18 +558,8 @@ func (s *Server) InsertRows(table string, payload []byte) (int64, error) {
 	return int64(len(rows)), nil
 }
 
-// TableStats returns catalog statistics, computing them (ANALYZE) if
-// absent. histogramBuckets applies only when statistics are computed.
-func (s *Server) TableStats(table string, histogramBuckets int) (*meta.TableStats, error) {
-	release, aerr := s.admit(s.ctx())
-	if aerr != nil {
-		return nil, aerr
-	}
-	defer release()
-	if d := s.decide(wire.OpStats); d.Kind == wire.KindDrop || d.Kind == wire.KindPartial {
-		return nil, d.Error(wire.OpStats)
-	}
-	s.lat.ChargeCtx(s.ctx(), len(table))
+// stats returns a table's statistics, running ANALYZE if absent.
+func (s *Server) stats(table string, histogramBuckets int) (*meta.TableStats, error) {
 	t, err := s.db.Table(table)
 	if err != nil {
 		return nil, err

@@ -12,10 +12,10 @@ func testServer(t *testing.T) *Server {
 	t.Helper()
 	db := engine.Open(engine.Config{})
 	s := New(db, wire.Latency{})
-	if _, err := s.Exec("CREATE TABLE T (K INTEGER, V VARCHAR(20))"); err != nil {
+	if _, err := s.ExecHdr(nil, "CREATE TABLE T (K INTEGER, V VARCHAR(20))"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exec("INSERT INTO T VALUES (1,'a'),(2,'b'),(3,'c'),(4,'d'),(5,'e')"); err != nil {
+	if _, err := s.ExecHdr(nil, "INSERT INTO T VALUES (1,'a'),(2,'b'),(3,'c'),(4,'d'),(5,'e')"); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -25,7 +25,7 @@ func drainCursor(t *testing.T, c *Cursor) []types.Tuple {
 	t.Helper()
 	var rows []types.Tuple
 	for {
-		payload, err := c.FetchBatch()
+		payload, err := c.FetchBatchHdr(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func drainCursor(t *testing.T, c *Cursor) []types.Tuple {
 
 func TestCursorBatches(t *testing.T) {
 	s := testServer(t)
-	cur, err := s.Query("SELECT K FROM T ORDER BY K", 2)
+	cur, err := s.QueryHdr(nil, "SELECT K FROM T ORDER BY K", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCursorBatches(t *testing.T) {
 		}
 	}
 	// Fetch after exhaustion stays nil.
-	payload, err := cur.FetchBatch()
+	payload, err := cur.FetchBatchHdr(nil)
 	if err != nil || payload != nil {
 		t.Errorf("post-EOF fetch: %v, %v", payload, err)
 	}
@@ -68,7 +68,7 @@ func TestCursorBatches(t *testing.T) {
 
 func TestCursorSchema(t *testing.T) {
 	s := testServer(t)
-	cur, err := s.Query("SELECT K, V FROM T", 0)
+	cur, err := s.QueryHdr(nil, "SELECT K, V FROM T", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestCursorSchema(t *testing.T) {
 
 func TestLoadAndCounters(t *testing.T) {
 	s := testServer(t)
-	if _, err := s.Exec("CREATE TABLE L (K INTEGER)"); err != nil {
+	if _, err := s.ExecHdr(nil, "CREATE TABLE L (K INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
 	payload := wire.EncodeBatch(nil, []types.Tuple{{types.Int(10)}, {types.Int(20)}})
-	n, err := s.Load("L", payload)
+	n, err := s.LoadSeqHdr(nil, "L", payload, 0)
 	if err != nil || n != 2 {
 		t.Fatalf("load: %d, %v", n, err)
 	}
@@ -92,7 +92,7 @@ func TestLoadAndCounters(t *testing.T) {
 	if rowsIn != 2 {
 		t.Errorf("rowsIn = %d", rowsIn)
 	}
-	cur, err := s.Query("SELECT K FROM L", 0)
+	cur, err := s.QueryHdr(nil, "SELECT K FROM L", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestLoadAndCounters(t *testing.T) {
 
 func TestInsertRowsPath(t *testing.T) {
 	s := testServer(t)
-	if _, err := s.Exec("CREATE TABLE I (K INTEGER)"); err != nil {
+	if _, err := s.ExecHdr(nil, "CREATE TABLE I (K INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
 	payload := wire.EncodeBatch(nil, []types.Tuple{{types.Int(1)}, {types.Int(2)}, {types.Int(3)}})
-	n, err := s.InsertRows("I", payload)
+	n, err := s.InsertRowsHdr(nil, "I", payload)
 	if err != nil || n != 3 {
 		t.Fatalf("insert rows: %d, %v", n, err)
 	}
@@ -121,7 +121,7 @@ func TestInsertRowsPath(t *testing.T) {
 
 func TestTableStatsComputedOnDemand(t *testing.T) {
 	s := testServer(t)
-	stats, err := s.TableStats("T", 4)
+	stats, err := s.TableStatsHdr(nil, "T", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestTableStatsComputedOnDemand(t *testing.T) {
 		t.Error("on-demand ANALYZE should honor histogram buckets")
 	}
 	// Second call serves the cached catalog entry.
-	stats2, err := s.TableStats("T", 0)
+	stats2, err := s.TableStatsHdr(nil, "T", 0)
 	if err != nil || stats2 != stats {
 		t.Error("cached stats expected")
 	}
@@ -140,13 +140,13 @@ func TestTableStatsComputedOnDemand(t *testing.T) {
 
 func TestErrorPaths(t *testing.T) {
 	s := testServer(t)
-	if _, err := s.Query("SELECT * FROM NOPE", 0); err == nil {
+	if _, err := s.QueryHdr(nil, "SELECT * FROM NOPE", 0); err == nil {
 		t.Error("bad query should fail")
 	}
-	if _, err := s.Load("NOPE", wire.EncodeBatch(nil, nil)); err == nil {
+	if _, err := s.LoadSeqHdr(nil, "NOPE", wire.EncodeBatch(nil, nil), 0); err == nil {
 		t.Error("load into missing table should fail")
 	}
-	if _, err := s.Load("T", []byte{0xFF, 0xFF}); err == nil {
+	if _, err := s.LoadSeqHdr(nil, "T", []byte{0xFF, 0xFF}, 0); err == nil {
 		t.Error("corrupt payload should fail")
 	}
 	if _, err := s.TableSchema("NOPE"); err == nil {
@@ -160,14 +160,14 @@ func TestConcurrentReaders(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 25; i++ {
-				cur, err := s.Query("SELECT K, V FROM T WHERE K > 1", 2)
+				cur, err := s.QueryHdr(nil, "SELECT K, V FROM T WHERE K > 1", 2)
 				if err != nil {
 					done <- err
 					return
 				}
 				n := 0
 				for {
-					payload, err := cur.FetchBatch()
+					payload, err := cur.FetchBatchHdr(nil)
 					if err != nil {
 						done <- err
 						return

@@ -22,10 +22,8 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -184,7 +182,7 @@ func (t *TCPServer) Close() error {
 		_ = c.Close()
 	}
 	for _, rs := range sessions {
-		if rs.close() {
+		if _, closed, _ := rs.close(); closed {
 			t.srv.CountDrained()
 		}
 	}
@@ -243,7 +241,7 @@ func (t *TCPServer) reaper() {
 		}
 		t.mu.Unlock()
 		for _, rs := range expired {
-			rs.close()
+			_, _, _ = rs.close()
 		}
 	}
 }
@@ -273,9 +271,15 @@ func (c *tcpConn) write(f wire.Frame) error {
 	return err
 }
 
-// reply sends a MsgOK with the given payload.
-func (c *tcpConn) reply(req wire.Frame, payload []byte) {
-	_ = c.write(wire.Frame{Type: wire.MsgOK, Session: req.Session, Request: req.Request, Payload: payload})
+// reply sends the MsgOK answering req, encoding rep straight into the
+// connection's frame buffer.
+func (c *tcpConn) reply(req wire.Frame, rep wire.Reply) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = wire.AppendFrame(c.wbuf[:0], wire.Frame{Type: wire.MsgOK, Session: req.Session, Request: req.Request})
+	c.wbuf = wire.SealFrame(wire.AppendReply(c.wbuf, req.Type, rep), 0)
+	_ = c.nc.SetWriteDeadline(time.Now().Add(c.t.cfg.writeTimeout()))
+	_, _ = c.nc.Write(c.wbuf)
 }
 
 // replyErr sends a MsgErr carrying err as a typed RemoteError.
@@ -411,33 +415,30 @@ func (t *TCPServer) openSession(c *tcpConn, f wire.Frame) {
 	t.wg.Add(1)
 	go rs.run()
 
-	payload := binary.AppendUvarint(nil, uint64(rs.id))
-	payload = binary.BigEndian.AppendUint64(payload, rs.token)
-	c.reply(f, payload)
+	c.reply(f, wire.Reply{Session: rs.id, Token: rs.token})
 }
 
 // resumeSession re-attaches a detached session to a new connection
 // after the client proved ownership with the resume token.
 func (t *TCPServer) resumeSession(c *tcpConn, f wire.Frame) {
-	id64, k := binary.Uvarint(f.Payload)
-	if k <= 0 || len(f.Payload[k:]) != 8 {
-		c.replyErr(f, fmt.Errorf("server: malformed resume payload"))
+	req, err := wire.DecodeRequest(f.Type, f.Payload)
+	if err != nil {
+		c.replyErr(f, err)
 		return
 	}
-	token := binary.BigEndian.Uint64(f.Payload[k:])
 	t.mu.Lock()
-	rs := t.sessions[uint32(id64)]
+	rs := t.sessions[req.Session]
 	t.mu.Unlock()
 	if rs == nil {
-		c.replyErr(f, fmt.Errorf("server: session %d expired (resume grace elapsed)", id64))
+		c.replyErr(f, fmt.Errorf("server: session %d expired (resume grace elapsed)", req.Session))
 		return
 	}
 	rs.mu.Lock()
-	ok := rs.token == token && !rs.closed
+	ok := rs.token == req.Token && !rs.closed
 	old := rs.owner
 	rs.mu.Unlock()
 	if !ok {
-		c.replyErr(f, fmt.Errorf("server: session %d resume rejected", id64))
+		c.replyErr(f, fmt.Errorf("server: session %d resume rejected", req.Session))
 		return
 	}
 	if old != nil && old != c {
@@ -449,7 +450,7 @@ func (t *TCPServer) resumeSession(c *tcpConn, f wire.Frame) {
 	}
 	rs.attach(c)
 	t.srv.CountSessionAccepted()
-	c.reply(f, nil)
+	c.reply(f, wire.Reply{})
 }
 
 // tcpJob is one session-scoped request awaiting its worker.
@@ -459,10 +460,11 @@ type tcpJob struct {
 }
 
 // cursorSlot is a server cursor held by a remote session, with the
-// size of its last reply (the replayable batch) charged against the
-// session's memory budget.
+// buffer its batches are encoded into; the size of the last one (the
+// replayable batch) is charged against the session's memory budget.
 type cursorSlot struct {
 	cur *Cursor
+	buf []byte
 	mem int64
 }
 
@@ -508,13 +510,14 @@ func (rs *remoteSession) enqueue(j tcpJob) bool {
 }
 
 // close tears the session down: cursors closed, engine session closed
-// (temp tables garbage-collected), worker released. It reports whether
+// (temp tables garbage-collected), worker released, registries
+// cleared. It returns the number of temp tables collected, and whether
 // this call did the teardown (false when already closed).
-func (rs *remoteSession) close() bool {
+func (rs *remoteSession) close() (collected int, closed bool, err error) {
 	rs.mu.Lock()
 	if rs.closed {
 		rs.mu.Unlock()
-		return false
+		return 0, false, nil
 	}
 	rs.closed = true
 	cursors := rs.cursors
@@ -526,7 +529,7 @@ func (rs *remoteSession) close() bool {
 	for _, slot := range cursors {
 		_ = slot.cur.Close()
 	}
-	_, _ = rs.se.Close()
+	collected, err = rs.se.Close()
 	close(rs.done)
 
 	rs.t.mu.Lock()
@@ -537,7 +540,7 @@ func (rs *remoteSession) close() bool {
 		delete(owner.attached, rs.id)
 		owner.smu.Unlock()
 	}
-	return true
+	return collected, true, err
 }
 
 // run is the session worker: requests execute strictly in arrival
@@ -584,237 +587,85 @@ func (rs *remoteSession) overBudget(extra int64) bool {
 
 // handle executes one request and writes its reply.
 func (rs *remoteSession) handle(j tcpJob) {
-	f := j.f
-	if _, gated := wire.MsgOp(f.Type); gated {
-		if rs.overBudget(int64(len(f.Payload))) {
-			j.c.replyErr(f, rs.t.srv.shedBudget(rs.t.srv.QueueDepth()))
-			return
-		}
+	rep, err := rs.serve(j.f)
+	if err != nil {
+		j.c.replyErr(j.f, err)
+		return
 	}
+	j.c.reply(j.f, rep)
+}
+
+// serve decodes one request and runs it: the session and cursor
+// plumbing here, every DBMS op through Server.handle.
+func (rs *remoteSession) serve(f wire.Frame) (wire.Reply, error) {
 	srv := rs.t.srv
-	switch f.Type {
+	if _, gated := wire.MsgOp(f.Type); gated && rs.overBudget(int64(len(f.Payload))) {
+		return wire.Reply{}, srv.shedBudget(srv.QueueDepth())
+	}
+	req, err := wire.DecodeRequest(f.Type, f.Payload)
+	if err != nil {
+		return wire.Reply{}, err
+	}
+	switch req.Type {
 	case wire.MsgCloseSession:
-		collected, err := rs.closeRequested()
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		j.c.reply(f, binary.AppendUvarint(nil, uint64(collected)))
-
-	case wire.MsgExec:
-		hdr, rest, err := wire.CutBytes(f.Payload)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		n, err := srv.ExecHdr(hdr, string(rest))
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		j.c.reply(f, binary.AppendVarint(nil, n))
-
+		n, _, err := rs.close()
+		return wire.Reply{N: int64(n)}, err
 	case wire.MsgQuery:
-		hdr, rest, err := wire.CutBytes(f.Payload)
+		rep, cur, err := srv.handle(req, nil)
 		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		prefetch, k := binary.Uvarint(rest)
-		if k <= 0 {
-			j.c.replyErr(f, fmt.Errorf("server: malformed query payload"))
-			return
-		}
-		cur, err := srv.QueryHdr(hdr, string(rest[k:]), int(prefetch))
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
+			return rep, err
 		}
 		rs.mu.Lock()
 		if rs.closed {
 			rs.mu.Unlock()
 			_ = cur.Close()
-			j.c.replyErr(f, ErrShutdown)
-			return
+			return wire.Reply{}, ErrShutdown
 		}
 		rs.nextCursor++
 		id := rs.nextCursor
 		rs.cursors[id] = &cursorSlot{cur: cur}
 		rs.mu.Unlock()
-		payload := binary.AppendUvarint(nil, id)
-		payload = wire.EncodeSchema(payload, cur.Schema())
-		j.c.reply(f, payload)
-
+		return wire.Reply{Cursor: id, Schema: cur.Schema()}, nil
 	case wire.MsgFetch:
-		hdr, rest, err := wire.CutBytes(f.Payload)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		id, k := binary.Uvarint(rest)
-		if k <= 0 {
-			j.c.replyErr(f, fmt.Errorf("server: malformed fetch payload"))
-			return
-		}
-		seq, k2 := binary.Varint(rest[k:])
-		if k2 <= 0 {
-			j.c.replyErr(f, fmt.Errorf("server: malformed fetch payload"))
-			return
-		}
 		rs.mu.Lock()
-		slot := rs.cursors[id]
+		slot := rs.cursors[req.Cursor]
+		if slot != nil {
+			// The batch is encoded into the slot's buffer, reused: the
+			// reply is written before the session's next request runs.
+			req.Payload = slot.buf
+		}
 		rs.mu.Unlock()
 		if slot == nil {
-			j.c.replyErr(f, fmt.Errorf("server: unknown cursor %d", id))
-			return
+			return wire.Reply{}, fmt.Errorf("server: unknown cursor %d", req.Cursor)
 		}
-		batch, err := slot.cur.FetchBatchSeqHdr(hdr, seq, nil)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
+		rep, _, err := srv.handle(req, slot.cur)
+		if err == nil && rep.Batch != nil {
+			rs.mu.Lock()
+			slot.buf, slot.mem = rep.Batch, int64(len(rep.Batch))
+			rs.mu.Unlock()
 		}
-		if batch == nil {
-			j.c.reply(f, []byte{0}) // end of stream
-			return
-		}
-		rs.mu.Lock()
-		slot.mem = int64(len(batch))
-		rs.mu.Unlock()
-		j.c.reply(f, append([]byte{1}, batch...))
-
+		return rep, err
 	case wire.MsgCloseCursor:
-		id, k := binary.Uvarint(f.Payload)
-		if k <= 0 {
-			j.c.replyErr(f, fmt.Errorf("server: malformed close-cursor payload"))
-			return
-		}
 		rs.mu.Lock()
-		slot := rs.cursors[id]
-		delete(rs.cursors, id)
+		slot := rs.cursors[req.Cursor]
+		delete(rs.cursors, req.Cursor)
 		rs.mu.Unlock()
 		if slot != nil {
 			_ = slot.cur.Close()
 		}
 		// Closing an unknown cursor is idempotent: a retried close after
 		// a lost acknowledgment must succeed.
-		j.c.reply(f, nil)
-
-	case wire.MsgLoad:
-		hdr, rest, err := wire.CutBytes(f.Payload)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		seq, k := binary.Varint(rest)
-		if k <= 0 {
-			j.c.replyErr(f, fmt.Errorf("server: malformed load payload"))
-			return
-		}
-		table, batch, err := wire.CutString(rest[k:])
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		n, err := srv.LoadSeqHdr(hdr, table, batch, seq)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		j.c.reply(f, binary.AppendVarint(nil, n))
-
-	case wire.MsgInsert:
-		hdr, rest, err := wire.CutBytes(f.Payload)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		table, batch, err := wire.CutString(rest)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		n, err := srv.InsertRowsHdr(hdr, table, batch)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		j.c.reply(f, binary.AppendVarint(nil, n))
-
-	case wire.MsgStats:
-		hdr, rest, err := wire.CutBytes(f.Payload)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		buckets, k := binary.Varint(rest)
-		if k <= 0 {
-			j.c.replyErr(f, fmt.Errorf("server: malformed stats payload"))
-			return
-		}
-		st, err := srv.TableStatsHdr(hdr, string(rest[k:]), int(buckets))
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		j.c.reply(f, wire.AppendTableStats(nil, st))
-
+		return wire.Reply{}, nil
 	case wire.MsgSchema:
-		schema, err := srv.TableSchema(string(f.Payload))
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		j.c.reply(f, wire.EncodeSchema(nil, schema))
-
+		schema, err := srv.TableSchema(req.Table)
+		return wire.Reply{Schema: schema}, err
 	case wire.MsgRegisterTemp:
-		rs.se.RegisterTemp(string(f.Payload))
-		j.c.reply(f, nil)
-
+		rs.se.RegisterTemp(req.Table)
+		return wire.Reply{}, nil
 	case wire.MsgForgetTemp:
-		rs.se.ForgetTemp(string(f.Payload))
-		j.c.reply(f, nil)
-
-	default:
-		j.c.replyErr(f, fmt.Errorf("server: unexpected message %s", wire.MsgName(f.Type)))
+		rs.se.ForgetTemp(req.Table)
+		return wire.Reply{}, nil
 	}
-}
-
-// closeRequested handles a client-initiated MsgCloseSession: the
-// engine session's temp-table GC count rides the reply.
-func (rs *remoteSession) closeRequested() (int, error) {
-	rs.mu.Lock()
-	if rs.closed {
-		rs.mu.Unlock()
-		return 0, nil
-	}
-	cursors := rs.cursors
-	rs.cursors = map[uint64]*cursorSlot{}
-	rs.mu.Unlock()
-	for _, slot := range cursors {
-		_ = slot.cur.Close()
-	}
-	collected, err := rs.se.Close()
-	// Tear the rest down (worker exit, registry removal) but keep the
-	// already-computed GC count.
-	rs.mu.Lock()
-	alreadyClosed := rs.closed
-	rs.closed = true
-	owner := rs.owner
-	rs.owner = nil
-	rs.mu.Unlock()
-	if !alreadyClosed {
-		close(rs.done)
-		rs.t.mu.Lock()
-		delete(rs.t.sessions, rs.id)
-		rs.t.mu.Unlock()
-		if owner != nil {
-			owner.smu.Lock()
-			delete(owner.attached, rs.id)
-			owner.smu.Unlock()
-		}
-	}
-	if err != nil && !errors.Is(err, io.EOF) {
-		return collected, err
-	}
-	return collected, nil
+	rep, _, err := srv.handle(req, nil)
+	return rep, err
 }

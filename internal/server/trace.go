@@ -4,15 +4,12 @@
 // load, the exec — that issued the request. The spans are filed with
 // an attached telemetry.Collector, keyed by trace ID, until the
 // middleware takes them back for stitching into the query's span tree.
-// Without a collector (or without a header) the ...Hdr variants are
-// exactly their plain counterparts.
+// Without a collector (or without a header) no span is made.
 package server
 
 import (
 	"sync/atomic"
-	"time"
 
-	"tango/internal/meta"
 	"tango/internal/telemetry"
 	"tango/internal/wire"
 )
@@ -60,78 +57,4 @@ func (s *Server) endOp(sp *telemetry.Span, err error) {
 	}
 	sp.Finish()
 	s.collector.Load().Collect(sp)
-}
-
-// ExecHdr is Exec carrying the caller's trace context.
-func (s *Server) ExecHdr(hdr []byte, sql string) (int64, error) {
-	sp := s.beginOp("exec", hdr)
-	n, err := s.Exec(sql)
-	s.endOp(sp, err)
-	return n, err
-}
-
-// QueryHdr is Query carrying the caller's trace context.
-func (s *Server) QueryHdr(hdr []byte, sql string, prefetch int) (*Cursor, error) {
-	sp := s.beginOp("query", hdr)
-	cur, err := s.Query(sql, prefetch)
-	s.endOp(sp, err)
-	return cur, err
-}
-
-// LoadSeqHdr is LoadSeq carrying the caller's trace context.
-func (s *Server) LoadSeqHdr(hdr []byte, table string, payload []byte, seq int64) (int64, error) {
-	sp := s.beginOp("load", hdr)
-	sp.SetInt("bytes", int64(len(payload)))
-	n, err := s.LoadSeq(table, payload, seq)
-	sp.SetInt("rows", n)
-	s.endOp(sp, err)
-	return n, err
-}
-
-// InsertRowsHdr is InsertRows carrying the caller's trace context.
-func (s *Server) InsertRowsHdr(hdr []byte, table string, payload []byte) (int64, error) {
-	sp := s.beginOp("insert", hdr)
-	n, err := s.InsertRows(table, payload)
-	sp.SetInt("rows", n)
-	s.endOp(sp, err)
-	return n, err
-}
-
-// TableStatsHdr is TableStats carrying the caller's trace context.
-func (s *Server) TableStatsHdr(hdr []byte, table string, histogramBuckets int) (*meta.TableStats, error) {
-	sp := s.beginOp("stats", hdr)
-	st, err := s.TableStats(table, histogramBuckets)
-	s.endOp(sp, err)
-	return st, err
-}
-
-// FetchBatchHdr is FetchBatch carrying the caller's trace context.
-func (c *Cursor) FetchBatchHdr(hdr []byte) ([]byte, error) {
-	sp := c.srv.beginOp("fetch", hdr)
-	payload, err := c.FetchBatch()
-	sp.SetInt("bytes", int64(len(payload)))
-	c.srv.endOp(sp, err)
-	return payload, err
-}
-
-// FetchBatchSeqHdr is FetchBatchSeq carrying the caller's trace
-// context.
-func (c *Cursor) FetchBatchSeqHdr(hdr []byte, seq int64, dst []byte) ([]byte, error) {
-	sp := c.srv.beginOp("fetch", hdr)
-	sp.SetInt("seq", seq)
-	payload, err := c.FetchBatchSeq(seq, dst)
-	sp.SetInt("bytes", int64(len(payload)))
-	c.srv.endOp(sp, err)
-	return payload, err
-}
-
-// FetchBatchPipelinedSeqHdr is FetchBatchPipelinedSeq carrying the
-// caller's trace context.
-func (c *Cursor) FetchBatchPipelinedSeqHdr(hdr []byte, seq int64, dst []byte) ([]byte, time.Duration, error) {
-	sp := c.srv.beginOp("fetch", hdr)
-	sp.SetInt("seq", seq)
-	payload, delay, err := c.FetchBatchPipelinedSeq(seq, dst)
-	sp.SetInt("bytes", int64(len(payload)))
-	c.srv.endOp(sp, err)
-	return payload, delay, err
 }

@@ -2,10 +2,10 @@
 // and reply crossing a socket is one length-prefixed frame carrying a
 // message type, a multiplexing session ID (many sessions share one
 // connection), and a request ID that matches replies to their
-// requests when several are in flight. Payload encodings reuse the
-// batch/schema/trace-header codecs of this package, so the bytes on a
-// real socket are the same bytes the in-process path has always
-// exchanged.
+// requests when several are in flight. The payload is a Request or a
+// Reply in the codec of request.go, which reuses the batch, schema,
+// statistics and trace-header codecs of this package: the in-process
+// path hands the server the same Request struct.
 //
 // Frame layout (protocol version 1), integers big-endian:
 //
@@ -50,48 +50,49 @@ const framePrefixLen = 4
 const MaxFrameSize = 64 << 20
 
 // Message types. Requests flow client → server; MsgOK/MsgErr flow
-// back with the request's ID. Payload encodings are documented on the
-// Append helpers below.
+// back with the request's ID. Each request's payload and its MsgOK
+// reply are laid out by the Request/Reply codec (request.go); MsgErr
+// carries a RemoteError.
 const (
-	MsgHello byte = iota + 1
+	MsgHello byte = iota + 1 // payload: AppendHello
 	MsgHelloOK
-	MsgOpenSession  // reply payload: session id (uvarint) + resume token (fixed64)
-	MsgResumeSession// payload: session id (uvarint) + resume token (fixed64)
-	MsgCloseSession // session scope; reply payload: collected temp tables (uvarint)
-	MsgExec         // payload: trace hdr + sql
-	MsgQuery        // payload: trace hdr + prefetch (uvarint) + sql; reply: cursor id + commit seq + schema
-	MsgFetch        // payload: trace hdr + cursor id (uvarint) + seq (varint); reply: flags + batch
-	MsgCloseCursor  // payload: cursor id (uvarint)
-	MsgLoad         // payload: trace hdr + load seq (varint) + table + batch
-	MsgInsert       // payload: trace hdr + table + batch
-	MsgStats        // payload: trace hdr + buckets (varint) + table; reply: JSON stats
-	MsgSchema       // payload: table; reply: EncodeSchema
-	MsgRegisterTemp // payload: table
-	MsgForgetTemp   // payload: table
+	MsgOpenSession
+	MsgResumeSession
+	MsgCloseSession
+	MsgExec
+	MsgQuery
+	MsgFetch
+	MsgCloseCursor
+	MsgLoad
+	MsgInsert
+	MsgStats
+	MsgSchema
+	MsgRegisterTemp
+	MsgForgetTemp
 	MsgOK
 	MsgErr
 	msgTypeEnd
 )
 
 var msgNames = [...]string{
-	0:               "invalid",
-	MsgHello:        "hello",
-	MsgHelloOK:      "hello-ok",
-	MsgOpenSession:  "open-session",
+	0:                "invalid",
+	MsgHello:         "hello",
+	MsgHelloOK:       "hello-ok",
+	MsgOpenSession:   "open-session",
 	MsgResumeSession: "resume-session",
-	MsgCloseSession: "close-session",
-	MsgExec:         "exec",
-	MsgQuery:        "query",
-	MsgFetch:        "fetch",
-	MsgCloseCursor:  "close-cursor",
-	MsgLoad:         "load",
-	MsgInsert:       "insert",
-	MsgStats:        "stats",
-	MsgSchema:       "schema",
-	MsgRegisterTemp: "register-temp",
-	MsgForgetTemp:   "forget-temp",
-	MsgOK:           "ok",
-	MsgErr:          "err",
+	MsgCloseSession:  "close-session",
+	MsgExec:          "exec",
+	MsgQuery:         "query",
+	MsgFetch:         "fetch",
+	MsgCloseCursor:   "close-cursor",
+	MsgLoad:          "load",
+	MsgInsert:        "insert",
+	MsgStats:         "stats",
+	MsgSchema:        "schema",
+	MsgRegisterTemp:  "register-temp",
+	MsgForgetTemp:    "forget-temp",
+	MsgOK:            "ok",
+	MsgErr:           "err",
 }
 
 // MsgName renders a message type for diagnostics.
@@ -257,31 +258,11 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// CutString decodes a length-prefixed string from the front of data,
-// returning the remainder.
-func CutString(data []byte) (string, []byte, error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 || uint64(len(data)-k) < n {
-		return "", nil, fmt.Errorf("%w: truncated string", ErrBadFrame)
-	}
-	return string(data[k : k+int(n)]), data[k+int(n):], nil
-}
-
 // AppendBytes appends a length-prefixed byte block (the trace-header
 // envelope: an empty block means "no trace").
 func AppendBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
-}
-
-// CutBytes decodes a length-prefixed byte block, returning the block
-// (aliasing data) and the remainder.
-func CutBytes(data []byte) ([]byte, []byte, error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 || uint64(len(data)-k) < n {
-		return nil, nil, fmt.Errorf("%w: truncated bytes", ErrBadFrame)
-	}
-	return data[k : k+int(n)], data[k+int(n):], nil
 }
 
 // --- typed errors across the wire ---
@@ -342,41 +323,15 @@ func AppendRemoteError(dst []byte, e RemoteError) []byte {
 
 // DecodeRemoteError decodes a MsgErr payload.
 func DecodeRemoteError(payload []byte) (RemoteError, error) {
-	if len(payload) < 1 {
-		return RemoteError{}, fmt.Errorf("%w: empty error payload", ErrBadFrame)
-	}
-	e := RemoteError{Code: ErrCode(payload[0])}
-	rest := payload[1:]
-	backoff, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return RemoteError{}, fmt.Errorf("%w: truncated error payload", ErrBadFrame)
-	}
-	e.Backoff = time.Duration(backoff)
-	rest = rest[k:]
-	queue, k := binary.Varint(rest)
-	if k <= 0 {
-		return RemoteError{}, fmt.Errorf("%w: truncated error payload", ErrBadFrame)
-	}
-	e.Queue = queue
-	rest = rest[k:]
-	if len(rest) < 2 {
-		return RemoteError{}, fmt.Errorf("%w: truncated error payload", ErrBadFrame)
-	}
-	e.Op, e.Kind = Op(rest[0]), FaultKind(rest[1])
-	rest = rest[2:]
-	idx, k := binary.Varint(rest)
-	if k <= 0 {
-		return RemoteError{}, fmt.Errorf("%w: truncated error payload", ErrBadFrame)
-	}
-	e.Index = idx
-	rest = rest[k:]
-	msg, rest, err := CutString(rest)
-	if err != nil {
+	d := decoder{b: payload}
+	e := RemoteError{Code: ErrCode(d.byte("error code"))}
+	e.Backoff = time.Duration(d.uvarint("backoff"))
+	e.Queue = d.varint("queue depth")
+	e.Op, e.Kind = Op(d.byte("op")), FaultKind(d.byte("fault kind"))
+	e.Index = d.varint("fault index")
+	e.Msg = d.str("error message")
+	if err := d.end("error"); err != nil {
 		return RemoteError{}, err
 	}
-	if len(rest) != 0 {
-		return RemoteError{}, fmt.Errorf("%w: %d trailing error bytes", ErrBadFrame, len(rest))
-	}
-	e.Msg = msg
 	return e, nil
 }

@@ -10,6 +10,9 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"tango/internal/meta"
+	"tango/internal/types"
 )
 
 // TestFrameRoundTrip is the property test: any frame with a valid
@@ -146,4 +149,63 @@ func TestChargeCtx(t *testing.T) {
 	// The zero latency is free on both paths.
 	Latency{}.ChargeCtx(context.Background(), 1<<20)
 	Latency{}.Charge(1 << 20)
+}
+
+// TestReplyRoundTrip: every reply shape survives the frame it is
+// encoded into in place (SealFrame), and the fetch flag separates end of stream
+// from an (even empty) batch.
+func TestReplyRoundTrip(t *testing.T) {
+	schema := types.Schema{Cols: []types.Column{{Name: "K", Kind: types.KindInt}}}
+	batch := EncodeBatch(nil, []types.Tuple{{types.Int(4)}})
+	for _, c := range []struct {
+		typ byte
+		rep Reply
+	}{
+		{MsgOpenSession, Reply{Session: 9, Token: 1<<64 - 1}},
+		{MsgCloseSession, Reply{N: 2}},
+		{MsgExec, Reply{N: -1}},
+		{MsgLoad, Reply{N: 1 << 40}},
+		{MsgQuery, Reply{Cursor: 12, Schema: schema}},
+		{MsgFetch, Reply{Batch: batch}},
+		{MsgFetch, Reply{}},
+		{MsgSchema, Reply{Schema: schema}},
+		{MsgStats, Reply{Stats: &meta.TableStats{Cardinality: 3}}},
+	} {
+		frame := SealFrame(AppendReply(AppendFrame(nil, Frame{Type: MsgOK, Session: 1, Request: 2}), c.typ, c.rep), 0)
+		f, used, err := DecodeFrame(frame)
+		if err != nil || used != len(frame) || f.Type != MsgOK || f.Session != 1 || f.Request != 2 {
+			t.Fatalf("%s: frame %+v used %d err %v", MsgName(c.typ), f, used, err)
+		}
+		got, err := DecodeReply(c.typ, f.Payload)
+		if err != nil {
+			t.Fatalf("%s: %v", MsgName(c.typ), err)
+		}
+		if got.N != c.rep.N || got.Cursor != c.rep.Cursor || got.Session != c.rep.Session || got.Token != c.rep.Token ||
+			got.Schema.String() != c.rep.Schema.String() || !bytes.Equal(got.Batch, c.rep.Batch) || (got.Batch == nil) != (c.rep.Batch == nil) ||
+			(c.rep.Stats != nil && got.Stats.Cardinality != c.rep.Stats.Cardinality) {
+			t.Fatalf("%s: %+v round-tripped to %+v", MsgName(c.typ), c.rep, got)
+		}
+	}
+	req := Request{Type: MsgLoad, Hdr: []byte{1}, Table: "T", Seq: 3, Payload: batch}
+	f, _, err := DecodeFrame(SealFrame(AppendRequest(AppendFrame(nil, Frame{Type: MsgLoad, Session: 5, Request: 6}), req), 0))
+	if err != nil || f.Type != MsgLoad || f.Session != 5 || f.Request != 6 {
+		t.Fatalf("request frame %+v: %v", f, err)
+	}
+	if got, err := DecodeRequest(f.Type, f.Payload); err != nil || !sameRequest(got, req) {
+		t.Fatalf("request %+v round-tripped to %+v (%v)", req, got, err)
+	}
+}
+
+// TestDecodeRequestPrefetchBound: a Query over MaxPrefetch rows per
+// batch is refused typed at decode.
+func TestDecodeRequestPrefetchBound(t *testing.T) {
+	ok := AppendRequest(nil, Request{Type: MsgQuery, SQL: "S", Prefetch: MaxPrefetch})
+	if r, err := DecodeRequest(MsgQuery, ok); err != nil || r.Prefetch != MaxPrefetch {
+		t.Fatalf("MaxPrefetch: %+v %v", r, err)
+	}
+	over := AppendRequest(nil, Request{Type: MsgQuery, SQL: "S", Prefetch: 1 << 60})
+	var pe *PrefetchError
+	if _, err := DecodeRequest(MsgQuery, over); !errors.As(err, &pe) || pe.Prefetch != 1<<60 {
+		t.Fatalf("prefetch 1<<60: %v, want *PrefetchError", err)
+	}
 }

@@ -249,3 +249,63 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 	})
 }
+
+// requestTypes lists every message type DecodeRequest accepts.
+var requestTypes = []byte{
+	MsgOpenSession, MsgResumeSession, MsgCloseSession, MsgExec, MsgQuery, MsgFetch,
+	MsgCloseCursor, MsgLoad, MsgInsert, MsgStats, MsgSchema, MsgRegisterTemp, MsgForgetTemp,
+}
+
+// sameRequest compares the sent fields of two requests.
+func sameRequest(a, b Request) bool {
+	return a.Type == b.Type && bytes.Equal(a.Hdr, b.Hdr) && a.SQL == b.SQL && a.Table == b.Table &&
+		a.Prefetch == b.Prefetch && a.Cursor == b.Cursor && a.Seq == b.Seq && a.Buckets == b.Buckets &&
+		bytes.Equal(a.Payload, b.Payload) && a.Session == b.Session && a.Token == b.Token
+}
+
+// FuzzDecodeRequest fuzzes the request decoder under every request
+// message type: no input may panic, a rejection is a typed error, and
+// anything accepted must survive AppendRequest → DecodeRequest
+// unchanged. The reply and MsgErr decoders must not panic on the same
+// input either.
+func FuzzDecodeRequest(f *testing.F) {
+	hdr := AppendHeader(nil, Header{TraceID: 7, SpanID: 9})
+	for _, r := range []Request{
+		{Type: MsgExec, Hdr: hdr, SQL: "CREATE TABLE T (K INTEGER)"},
+		{Type: MsgQuery, Hdr: hdr, SQL: "SELECT K FROM T", Prefetch: 256},
+		{Type: MsgFetch, Cursor: 3, Seq: -1},
+		{Type: MsgLoad, Hdr: hdr, Table: "T", Seq: 4, Payload: EncodeBatch(nil, nil)},
+		{Type: MsgInsert, Table: "T", Payload: []byte{1, 2}},
+		{Type: MsgStats, Table: "T", Buckets: 20},
+		{Type: MsgResumeSession, Session: 5, Token: 1 << 63},
+		{Type: MsgCloseCursor, Cursor: 1 << 40},
+	} {
+		f.Add(r.Type, AppendRequest(nil, r))
+	}
+	f.Add(MsgQuery, []byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add(MsgHello, []byte{})
+	f.Fuzz(func(t *testing.T, typ byte, data []byte) {
+		_, _ = DecodeRemoteError(data)
+		for _, mt := range append(requestTypes, typ) {
+			_, _ = DecodeReply(mt, data)
+			r, err := DecodeRequest(mt, data)
+			if err != nil {
+				var pe *PrefetchError
+				if !errors.Is(err, ErrBadFrame) && !errors.As(err, &pe) {
+					t.Fatalf("%s: untyped decode error: %v", MsgName(mt), err)
+				}
+				continue
+			}
+			if r.Type != mt {
+				t.Fatalf("decoded type %d, want %d", r.Type, mt)
+			}
+			again, err := DecodeRequest(mt, AppendRequest(nil, r))
+			if err != nil {
+				t.Fatalf("%s: re-encoded request rejected: %v", MsgName(mt), err)
+			}
+			if !sameRequest(r, again) {
+				t.Fatalf("%s: round trip changed the request: %+v -> %+v", MsgName(mt), r, again)
+			}
+		}
+	})
+}

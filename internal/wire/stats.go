@@ -56,93 +56,44 @@ func AppendTableStats(dst []byte, st *meta.TableStats) []byte {
 
 // DecodeTableStats decodes an AppendTableStats payload.
 func DecodeTableStats(data []byte) (*meta.TableStats, error) {
-	bad := func(what string) error { return fmt.Errorf("%w: truncated stats (%s)", ErrBadFrame, what) }
-	table, rest, err := CutString(data)
-	if err != nil {
-		return nil, err
-	}
-	st := &meta.TableStats{Table: table}
-	var k int
-	if st.Cardinality, k = binary.Varint(rest); k <= 0 {
-		return nil, bad("cardinality")
-	}
-	rest = rest[k:]
-	if st.Blocks, k = binary.Varint(rest); k <= 0 {
-		return nil, bad("blocks")
-	}
-	rest = rest[k:]
-	if len(rest) < 8 {
-		return nil, bad("tuple size")
-	}
-	st.AvgTupleSize = math.Float64frombits(binary.BigEndian.Uint64(rest))
-	rest = rest[8:]
-	ncols, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return nil, bad("column count")
-	}
-	rest = rest[k:]
-	st.Columns = make(map[string]*meta.ColumnStats, ncols)
-	for i := uint64(0); i < ncols; i++ {
-		var key string
-		if key, rest, err = CutString(rest); err != nil {
-			return nil, err
-		}
-		c := &meta.ColumnStats{}
-		if c.Name, rest, err = CutString(rest); err != nil {
-			return nil, err
-		}
-		mm, used, err := types.DecodeTuple(rest, nil)
+	d := decoder{b: data}
+	st := &meta.TableStats{Table: d.str("stats table")}
+	st.Cardinality, st.Blocks = d.varint("cardinality"), d.varint("blocks")
+	st.AvgTupleSize = math.Float64frombits(d.fixed64("tuple size"))
+	ncols := d.uvarint("column count")
+	st.Columns = map[string]*meta.ColumnStats{}
+	for i := uint64(0); i < ncols && d.err == nil; i++ {
+		key := d.str("column key")
+		c := &meta.ColumnStats{Name: d.str("column name")}
+		mm, used, err := types.DecodeTuple(d.b, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%w: column %s min/max: %v", ErrBadFrame, key, err)
 		}
 		if len(mm) != 2 {
-			return nil, bad("min/max arity")
+			return nil, fmt.Errorf("%w: column %s min/max arity %d", ErrBadFrame, key, len(mm))
 		}
 		c.Min, c.Max = mm[0], mm[1]
-		rest = rest[used:]
-		if c.Distinct, k = binary.Varint(rest); k <= 0 {
-			return nil, bad("distinct")
-		}
-		rest = rest[k:]
-		if c.NullCount, k = binary.Varint(rest); k <= 0 {
-			return nil, bad("nulls")
-		}
-		rest = rest[k:]
-		if len(rest) < 1 {
-			return nil, bad("index flag")
-		}
-		c.HasIndex = rest[0] == 1
-		rest = rest[1:]
-		if c.ClusteringFactor, k = binary.Varint(rest); k <= 0 {
-			return nil, bad("clustering")
-		}
-		rest = rest[k:]
-		if len(rest) < 1 {
-			return nil, bad("histogram flag")
-		}
-		hasHist := rest[0] == 1
-		rest = rest[1:]
-		if hasHist {
-			nb, k := binary.Uvarint(rest)
-			if k <= 0 || uint64(len(rest)-k) < nb*8 {
-				return nil, bad("histogram bounds")
+		d.b = d.b[used:]
+		c.Distinct, c.NullCount = d.varint("distinct"), d.varint("nulls")
+		c.HasIndex = d.byte("index flag") == 1
+		c.ClusteringFactor = d.varint("clustering")
+		if d.byte("histogram flag") == 1 {
+			nb := d.uvarint("histogram bounds")
+			if nb > uint64(len(d.b))/8 {
+				d.fail("histogram bounds")
+				break
 			}
-			rest = rest[k:]
 			h := &meta.Histogram{Bounds: make([]float64, nb)}
 			for j := range h.Bounds {
-				h.Bounds[j] = math.Float64frombits(binary.BigEndian.Uint64(rest))
-				rest = rest[8:]
+				h.Bounds[j] = math.Float64frombits(d.fixed64("histogram bound"))
 			}
-			if h.Rows, k = binary.Varint(rest); k <= 0 {
-				return nil, bad("histogram rows")
-			}
-			rest = rest[k:]
+			h.Rows = d.varint("histogram rows")
 			c.Histogram = h
 		}
 		st.Columns[key] = c
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing stats bytes", ErrBadFrame, len(rest))
+	if err := d.end("stats"); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

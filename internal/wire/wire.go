@@ -110,24 +110,22 @@ func EncodeSchema(dst []byte, s types.Schema) []byte {
 
 // DecodeSchema deserializes a schema and returns the bytes consumed.
 func DecodeSchema(data []byte) (types.Schema, int, error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return types.Schema{}, 0, fmt.Errorf("wire: bad schema header")
+	d := decoder{b: data}
+	n := d.uvarint("schema header")
+	if n > uint64(len(d.b))/2 {
+		// Every column costs at least two bytes (name length, kind).
+		d.fail("schema column count")
+		n = 0
 	}
-	pos := k
-	cols := make([]types.Column, n)
-	for i := range cols {
-		l, k2 := binary.Uvarint(data[pos:])
-		if k2 <= 0 || pos+k2+int(l)+1 > len(data) {
-			return types.Schema{}, 0, fmt.Errorf("wire: truncated schema")
-		}
-		pos += k2
-		cols[i].Name = string(data[pos : pos+int(l)])
-		pos += int(l)
-		cols[i].Kind = types.Kind(data[pos])
-		pos++
+	cols := make([]types.Column, 0, n)
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		name := d.str("schema column name")
+		cols = append(cols, types.Column{Name: name, Kind: types.Kind(d.byte("schema column kind"))})
 	}
-	return types.Schema{Cols: cols}, pos, nil
+	if d.err != nil {
+		return types.Schema{}, 0, d.err
+	}
+	return types.Schema{Cols: cols}, len(data) - len(d.b), nil
 }
 
 // Latency models the network between middleware and DBMS. The zero
